@@ -19,7 +19,6 @@
 #include "pipeline/config.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
-#include "quant/message_codec.h"
 #include "runtime/thread_pool.h"
 #include "transport/transport.h"
 
@@ -58,14 +57,6 @@ double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
   }
   const double chunk = static_cast<double>(bytes) / n;
   return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
-}
-
-/// Scheduling flag for the persistent synchronous exchanges — the same
-/// policy the one-shot exchange_halo_forward/backward wrappers use: run the
-/// per-pair stages on the pool when it can actually help. Numerics are
-/// identical either way (the determinism contract).
-bool exchange_parallel_ok() {
-  return !ThreadPool::in_worker() && num_threads() > 1;
 }
 
 /// Copy `src` into `dst` reusing dst's capacity (Matrix copy-assignment
@@ -119,6 +110,17 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   async_pipeline_ = pipeline::async_enabled();
   ADAQP_CHECK(cluster_.num_devices() == num_devices_);
   ADAQP_CHECK(model_config.in_dim == dataset.spec.feature_dim);
+
+  // The method, read once: everything below is method-agnostic.
+  const Method method = opts_.method;
+  const bool quantizing =
+      method == Method::kAdaQP || method == Method::kAdaQPUniform;
+  policy_.plans = method == Method::kAdaQP ? Policy::Plans::kAssigner
+                  : quantizing ? Policy::Plans::kRandomUniform
+                               : Policy::Plans::kUniform32;
+  policy_.split = quantizing;
+  policy_.deferred = method == Method::kPipeGCN;
+  policy_.skip_stale = method == Method::kSancus;
 
   for (int d = 0; d < num_devices_; ++d)
     device_rngs_.push_back(master_rng_.split());
@@ -177,7 +179,19 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   fwd_ranges_.resize(num_layers_);
   bwd_ranges_.resize(num_layers_);
 
-  if (opts_.method == Method::kPipeGCN) {
+  // The persistent layer graphs; each in-graph exchange gets its own wire
+  // channel, claimed in deterministic order so replicated ranks agree
+  // (src/transport/).
+  fwd_graphs_.resize(num_layers_);
+  bwd_graphs_.resize(num_layers_);
+  if (!policy_.deferred) {
+    for (int l = 0; l < num_layers_; ++l) {
+      fwd_graphs_[l].acct.channel = transport::next_channel();
+      if (l > 0) bwd_graphs_[l].acct.channel = transport::next_channel();
+    }
+  }
+
+  if (policy_.deferred) {
     pipegcn_fwd_inflight_.resize(num_layers_);
     pipegcn_bwd_inflight_.resize(num_layers_);
     pipegcn_fwd_active_.assign(num_layers_, 0);
@@ -191,8 +205,8 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
                                              dim);
     }
     // Build every deferred exchange now (graph + warmed staging, no RNG
-    // draws, nothing launched): the forward slots' first submit happens in
-    // epoch 1 — already steady state — and must not allocate.
+    // draws, nothing launched): the forward slots' first deferred submit
+    // happens in epoch 1 — already steady state — and must not allocate.
     for (int l = 0; l < num_layers_; ++l) {
       pipegcn_fwd_inflight_[l] =
           std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
@@ -203,25 +217,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
         pipegcn_bwd_inflight_[l]->prepare_backward(pipegcn_bwd_scratch_[l],
                                                    bwd_plans_[l]);
       }
-    }
-  }
-  if (opts_.method == Method::kSancus) {
-    sancus_last_bcast_.resize(num_layers_);
-    sancus_staleness_.assign(num_layers_,
-                             std::vector<int>(num_devices_, 1 << 20));
-    sancus_bcast_now_.assign(num_layers_,
-                             std::vector<bool>(num_devices_, false));
-    for (int l = 0; l < num_layers_; ++l)
-      sancus_last_bcast_[l].resize(num_devices_);
-    // One wire channel per (layer, direction) broadcast lineage, claimed in
-    // deterministic order so replicated ranks agree (src/transport/).
-    sancus_fwd_chan_.resize(num_layers_);
-    sancus_bwd_chan_.resize(num_layers_);
-    sancus_fwd_round_.assign(num_layers_, 0);
-    sancus_bwd_round_.assign(num_layers_, 0);
-    for (int l = 0; l < num_layers_; ++l) {
-      sancus_fwd_chan_[l] = transport::next_channel();
-      sancus_bwd_chan_[l] = transport::next_channel();
     }
   }
 
@@ -242,65 +237,39 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   grad_flow_.resize(2);
   for (auto& flow : grad_flow_) flow.resize(num_devices_);
   bwd_sinks_.resize(num_layers_);
+  bwd_marginal_sinks_.resize(num_layers_);
   bwd_scratch_.resize(num_layers_);
   for (int l = 0; l < num_layers_; ++l) {
     bwd_sinks_[l].resize(num_devices_);
+    bwd_marginal_sinks_[l].resize(num_devices_);
     bwd_scratch_[l].resize(num_devices_);
   }
-  sync_fwd_ex_.resize(num_layers_);
-  sync_bwd_ex_.resize(num_layers_);
-  if ((opts_.method == Method::kAdaQP ||
-       opts_.method == Method::kAdaQPUniform) &&
-      !async_pipeline_) {
-    // The phased (ADAQP_ASYNC=0) forward reuses the persistent sync
-    // exchanges with *quantized* plans from epoch 1 on: build + warm them
-    // now so the stochastic-rounding uniform staging — which the 32-bit
-    // warmup epoch never draws — is pre-reserved. (Vanilla and PipeGCN stay
-    // full-precision forever, so their lazily-built exchanges reach their
-    // final capacities during the warmup epoch naturally.)
-    for (int l = 0; l < num_layers_; ++l) {
-      sync_fwd_ex_[l] =
-          std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-      sync_fwd_ex_[l]->prepare_forward(acts_[l], fwd_plans_[l]);
-    }
-  }
-  adaqp_fwd_graph_.resize(num_layers_);
-  adaqp_fwd_acct_.resize(num_layers_);
-  adaqp_bwd_graph_.resize(num_layers_);
-  adaqp_bwd_acct_.resize(num_layers_);
-  fused_fwd_exchange_ids_.resize(num_layers_);
-  fused_fwd_compute_ids_.resize(num_layers_);
-  fused_bwd_exchange_ids_.resize(num_layers_);
-  fused_bwd_compute_ids_.resize(num_layers_);
   // Register every metrics instrument now: the registry inserts on first
   // use, and first use must not land inside a steady-state epoch.
   (void)obs::instruments();
-  adaqp_marginal_sinks_.resize(num_layers_);
-  adaqp_central_sinks_.resize(num_layers_);
-  adaqp_bwd_scratch_.resize(num_layers_);
-  adaqp_bwd_bound_.assign(num_layers_, nullptr);
-  for (int l = 0; l < num_layers_; ++l) {
-    adaqp_marginal_sinks_[l].resize(num_devices_);
-    adaqp_central_sinks_[l].resize(num_devices_);
-    adaqp_bwd_scratch_[l].resize(num_devices_);
-  }
 
-  if (opts_.method == Method::kSancus) {
-    // SANCUS's broadcast-skipping path first touches its drift scratch in
-    // epoch 1 (there is no previous snapshot to diff against in epoch 0),
-    // so resolve and pre-size everything here instead.
+  if (policy_.skip_stale) {
+    // Broadcast streams: seeded apart from master_rng_, which the layer
+    // compute's streams come from.
+    Rng broadcast_seed(opts_.seed ^ 0x9e3779b97f4a7c15ull);
+    for (int d = 0; d < num_devices_; ++d)
+      broadcast_rngs_.push_back(broadcast_seed.split());
+    sancus_last_bcast_.resize(num_layers_);
+    sancus_staleness_.assign(num_layers_,
+                             std::vector<int>(num_devices_, 1 << 20));
+    sancus_skip_.assign(num_layers_, std::vector<char>(num_devices_, 0));
+    // The drift test first touches its scratch in epoch 1 (there is no
+    // previous snapshot to diff against in epoch 0), so resolve and
+    // pre-size everything here instead.
     sancus_snapshot_.resize(num_layers_);
     sancus_diff_.resize(num_layers_);
-    sancus_bits_.resize(num_layers_);
-    sancus_pair_bytes_.assign(
-        num_devices_, std::vector<std::size_t>(num_devices_, 0));
-    sancus_tmp_ = &ws_.matrix(memory::Scratch::kGeneric, 0, 0);
-    sancus_seq_ = &ws_.u32s(memory::Scratch::kSancusSeq, 0, 0);
     for (int l = 0; l < num_layers_; ++l) {
+      sancus_last_bcast_[l].resize(num_devices_);
+      fwd_graphs_[l].acct.skip = &sancus_skip_[l];
+      bwd_graphs_[l].acct.skip = &sancus_skip_[l];
       const std::size_t dim = model_.layer_in_dim(l);
       sancus_snapshot_[l].resize(num_devices_);
       sancus_diff_[l].resize(num_devices_);
-      sancus_bits_[l].resize(num_devices_);
       for (int d = 0; d < num_devices_; ++d) {
         const std::size_t boundary = dist_.devices[d].boundary_span().size();
         Matrix& snap = ws_.matrix(memory::Scratch::kSancusSnapshot, l, d);
@@ -309,24 +278,9 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
         diff.reshape_uninit(boundary, dim);
         sancus_snapshot_[l][d] = &snap;
         sancus_diff_[l][d] = &diff;
-        sancus_bits_[l][d] = &ws_.ints(memory::Scratch::kSancusBits, l, d);
       }
     }
   }
-}
-
-pipeline::AsyncExchange& DistTrainer::sync_forward_exchange(int l) {
-  if (!sync_fwd_ex_[l])
-    sync_fwd_ex_[l] = std::make_unique<pipeline::AsyncExchange>(dist_,
-                                                                cluster_);
-  return *sync_fwd_ex_[l];
-}
-
-pipeline::AsyncExchange& DistTrainer::sync_backward_exchange(int l) {
-  if (!sync_bwd_ex_[l])
-    sync_bwd_ex_[l] = std::make_unique<pipeline::AsyncExchange>(dist_,
-                                                                cluster_);
-  return *sync_bwd_ex_[l];
 }
 
 double DistTrainer::compute_seconds(int layer, bool backward,
@@ -365,212 +319,141 @@ double DistTrainer::marginal_compute_seconds_max(int layer,
   return m;
 }
 
-EpochBreakdown DistTrainer::forward_exchange(int l) {
+EpochBreakdown DistTrainer::layer_time(int l, bool backward,
+                                       double comm) const {
   EpochBreakdown bd;
+  bd.comm = comm;
+  if (backward && l == 0) {
+    // No exchange below the first layer: its backward is pure compute.
+    bd.comp = max_compute_seconds(0, /*backward=*/true, false);
+    bd.total = bd.comp;
+    return bd;
+  }
+  if (policy_.split) {
+    // Central compute hides inside communication; the quantize /
+    // de-quantize kernels and marginal compute do not (Fig. 10a).
+    const double central_s = max_compute_seconds(l, backward, true);
+    const double tq = stats_scratch_.max_quant_seconds();
+    const double tdq = stats_scratch_.max_dequant_seconds();
+    bd.comp = marginal_compute_seconds_max(l, backward);
+    bd.quant = tq + tdq;
+    bd.total = tq + std::max(comm, central_s) + tdq + bd.comp;
+    return bd;
+  }
+  bd.comp = max_compute_seconds(l, backward, false);
+  // A deferred exchange (every warm one; backward ones always are) is
+  // hidden inside computation; otherwise the exchange precedes compute.
+  const bool hidden = policy_.deferred && (backward || pipegcn_warm_);
+  bd.total = hidden ? std::max(bd.comp, comm) : comm + bd.comp;
+  return bd;
+}
+
+EpochBreakdown DistTrainer::forward_layer(int l) {
   // Cross-iteration joins first: layer l's compute reads the halo rows the
   // pending deferred exchange of layer l delivers, and *writes* the owned
   // rows of acts_[l + 1] that the next pending exchange's encode stages
   // read — both must be joined before the trace below touches acts_[l].
-  // Join time is stashed per slot and consumed by the slot's own layer, so
-  // each layer's breakdown reports its own exchange regardless of where
-  // the join happened.
-  if (opts_.method == Method::kPipeGCN && pipegcn_warm_) {
+  // Join time is stashed per slot and consumed by the slot's own layer.
+  if (policy_.deferred && pipegcn_warm_) {
     join_pipegcn_forward(l);
     if (l + 1 < num_layers_) join_pipegcn_forward(l + 1);
-    bd.comm = pipegcn_joined_comm_[l];
-    pipegcn_joined_comm_[l] = 0.0;
   }
-  const bool trace = true;
-  if (trace) {
-    fwd_ranges_[l].resize(num_devices_);
-    for (int d = 0; d < num_devices_; ++d)
-      row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
-  }
-
-  switch (opts_.method) {
-    case Method::kVanilla: {
-      // fwd_plans_[l] stays the uniform 32-bit plan for non-quantizing
-      // methods (refresh_plans only touches AdaQP variants). The per-layer
-      // exchange object is persistent: its first submit builds the stage
-      // graph, every later one re-arms it in place.
-      pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-      ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                        exchange_parallel_ok());
-      ex.wait_into(stats_scratch_);
-      total_comm_bytes_ += stats_scratch_.total_bytes();
-      capture_exchange_stats(stats_scratch_);
-      if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-      const double comp = max_compute_seconds(l, false, false);
-      bd.comm = stats_scratch_.comm_seconds;
-      bd.comp = comp;
-      bd.total = stats_scratch_.comm_seconds + comp;
-      return bd;
-    }
-    case Method::kAdaQP:
-    case Method::kAdaQPUniform:
-      // Quantizing methods run exchange + compute as one fused stage graph;
-      // see adaqp_forward_layer (forward_pass never routes them here).
-      ADAQP_CHECK_MSG(false, "AdaQP forward goes through adaqp_forward_layer");
-      return bd;
-    case Method::kPipeGCN: {
-      const double comp = max_compute_seconds(l, false, false);
-      if (!pipegcn_warm_) {
-        // Cold start: synchronous full-precision exchange before compute.
-        pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-        ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                          exchange_parallel_ok());
-        ex.wait_into(stats_scratch_);
-        total_comm_bytes_ += stats_scratch_.total_bytes();
-        capture_exchange_stats(stats_scratch_);
-        if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-        bd.comm = stats_scratch_.comm_seconds;
-        bd.comp = comp;
-        bd.total = stats_scratch_.comm_seconds + comp;
-        return bd;
-      }
-      // Warm pipeline: compute with the halo rows delivered by the deferred
-      // exchange submitted last epoch and joined just above — it stayed in
-      // flight across the iteration boundary, overlapping the rest of last
-      // epoch (later layers, backward, Adam, evaluation) and this epoch's
-      // earlier layers. Its comm time hides inside computation.
-      bd.comp = comp;
-      bd.total = std::max(comp, bd.comm);
-      return bd;
-    }
-    case Method::kSancus: {
-      // Broadcast-skipping: each device broadcasts its boundary rows only
-      // when they drifted enough or staleness hit the cap. Deliberately
-      // serial — sequential broadcasts are the inefficiency being modeled,
-      // and later senders read rows earlier broadcasts may have refreshed.
-      std::vector<std::vector<std::size_t>>& pair_bytes = sancus_pair_bytes_;
-      for (auto& row : pair_bytes) std::fill(row.begin(), row.end(), 0);
-      double comm = 0.0;
-      transport::Transport& tp = transport::active();
-      const std::uint32_t round = ++sancus_fwd_round_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        // This device's outgoing boundary rows (precomputed union view).
-        const std::span<const NodeId> boundary = dev.boundary_span();
-        bool bcast = true;
-        Matrix& snapshot = *sancus_snapshot_[l][d];
-        snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
-        for (std::size_t i = 0; i < boundary.size(); ++i) {
-          const auto src = acts_[l][d].row(boundary[i]);
-          std::copy(src.begin(), src.end(), snapshot.row(i).begin());
-        }
-        if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
-            sancus_last_bcast_[l][d].same_shape(snapshot)) {
-          const double base = sancus_last_bcast_[l][d].frobenius_norm();
-          Matrix& diff = *sancus_diff_[l][d];
-          copy_matrix_into(snapshot, diff);
-          diff.axpy_inplace(-1.0f, sancus_last_bcast_[l][d]);
-          const double drift = diff.frobenius_norm() / (base + 1e-12);
-          bcast = drift > opts_.sancus_drift_threshold;
-        }
-        sancus_bcast_now_[l][d] = bcast;
-        if (!bcast) {
-          sancus_staleness_[l][d]++;
-          continue;
-        }
-        sancus_staleness_[l][d] = 0;
-        // Copy, not move: the snapshot is pooled scratch and must keep its
-        // buffer for the next epoch.
-        copy_matrix_into(snapshot, sancus_last_bcast_[l][d]);
-        // Deliver full-precision rows to each peer; sequential broadcast
-        // cost (the inefficiency the paper calls out in §5.1).
-        for (int p = 0; p < num_devices_; ++p) {
-          if (p == d || dev.send_local[p].empty()) continue;
-          std::vector<int>& bits = *sancus_bits_[l][d];
-          bits.assign(dev.send_local[p].size(), 32);
-          encode_rows_into(acts_[l][d], dev.send_local[p], bits,
-                           device_rngs_[d], wire_uniforms_, wire_block_);
-          pair_bytes[d][p] = wire_block_.wire_bytes();
-          comm += cluster_.transfer_seconds(d, p, wire_block_.wire_bytes());
-          const transport::FrameTag tag{sancus_fwd_chan_[l], round,
-                                        /*direction=*/0,
-                                        static_cast<std::uint8_t>(d),
-                                        static_cast<std::uint8_t>(p)};
-          tp.send(tag, wire_block_.bytes);
-          decode_rows(tp.recv(tag, wire_block_.bytes), acts_[l][p],
-                      dist_.devices[p].recv_local[d]);
-        }
-      }
-      for (const auto& row : pair_bytes)
-        for (std::size_t b : row) total_comm_bytes_ += b;
-      capture_sancus_pairs(pair_bytes);
-      if (l == 0) last_layer1_pair_bytes_ = pair_bytes;
-      const double comp = max_compute_seconds(l, false, false);
-      bd.comm = comm;
-      bd.comp = comp;
-      bd.total = comm + comp;
-      return bd;
-    }
-  }
-  return bd;
-}
-
-EpochBreakdown DistTrainer::adaqp_forward_layer(int l, bool training) {
-  EpochBreakdown bd;
-  // The persistent fused graphs capture training=true at build time;
-  // evaluation never routes through here (it has a private inference path).
-  ADAQP_CHECK(training);
-  // Trace input ranges for the assigner (same point as the phased path:
-  // before any halo row of this layer's input is rewritten).
+  // Trace input ranges for the assigner before any halo row of this
+  // layer's input is rewritten.
   fwd_ranges_[l].resize(num_devices_);
   for (int d = 0; d < num_devices_; ++d)
     row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
+  if (policy_.skip_stale) sancus_drift_step(l);
+  if (policy_.deferred && !pipegcn_warm_) {
+    // Cold start (epoch 0): the deferred exchange's own object runs one
+    // synchronous full-precision round before compute.
+    pipegcn_fwd_inflight_[l]->submit_forward(acts_[l], fwd_plans_[l],
+                                             device_rngs_, async_pipeline_);
+    pipegcn_fwd_active_[l] = 1;
+    join_pipegcn_forward(l);
+  }
 
-  if (!async_pipeline_) {
-    // Phased reference schedule: exchange every halo row, then the full
-    // per-device forward — the PR-2 execution shape, on the persistent
-    // per-layer exchange.
-    pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-    ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                      exchange_parallel_ok());
-    ex.wait_into(stats_scratch_);
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
-                              caches_[l][d], device_rngs_[d],
-                              /*training=*/true);
-    });
-  } else if (!adaqp_fwd_graph_[l]) {
-    // Fused stage graph: per-pair encode/wire/decode stages run concurrently
-    // with per-device central-row compute; each device's marginal rows wait
-    // on its inbound messages (and on its own prepare/central stage, which
-    // sizes the shared layer cache). Stage bodies write disjoint rows and
-    // use private RNG streams, so this schedule is bit-identical to the
-    // phased one at any thread count. Built once here (warmup epoch 0,
-    // uniform 32-bit plan = maximal payloads), re-armed in place forever
-    // after: the stage lambdas read fwd_plans_[l] (stable address) at run
-    // time, so plan refreshes need no rebuild.
-    adaqp_fwd_graph_[l] = std::make_unique<pipeline::StageGraph>();
-    pipeline::StageGraph& graph = *adaqp_fwd_graph_[l];
-    std::string prefix = "L";
-    prefix += std::to_string(l);
-    graph.set_label(prefix + "/forward");
-    pipeline::ExchangeAccounting& acct = adaqp_fwd_acct_[l];
-    acct.init(num_devices_, device_rngs_);
-    const pipeline::PairStages pair = pipeline::add_forward_exchange_stages(
-        graph, dist_, acts_[l], fwd_plans_[l], acct);
-    std::vector<int> central(num_devices_, -1);
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
-      AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        // Central rows aggregate only owned neighbors (layers.h), so the
-        // read never touches the halo rows the fwd stages are decoding into.
-        acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_owned, kRcRead,
-                                   "x[" + dn + "].owned_rows"));
+  LayerGraph& lg = fwd_graphs_[l];
+  const bool exchange = !policy_.deferred;
+  // The exchange's per-pair streams are derived here, before the layer
+  // compute draws its dropout masks from the device streams.
+  if (exchange)
+    lg.acct.init(num_devices_,
+                 policy_.skip_stale ? broadcast_rngs_ : device_rngs_);
+  if (!lg.graph)
+    build_forward_graph(l);
+  else
+    lg.graph->reset();
+  run_layer_graph(lg, l, /*forward=*/true, exchange);
+
+  double comm = exchange ? stats_scratch_.comm_seconds : 0.0;
+  if (policy_.deferred) {
+    comm = pipegcn_joined_comm_[l];
+    pipegcn_joined_comm_[l] = 0.0;
+    // Ship the (already-consumed) inputs so next epoch's halos are one
+    // epoch stale; the stages stay in flight across the iteration boundary.
+    if (pipegcn_warm_) submit_pipegcn_forward(l);
+  }
+  return layer_time(l, /*backward=*/false, comm);
+}
+
+void DistTrainer::build_forward_graph(int l) {
+  // Stage bodies write disjoint rows and use private RNG streams, so every
+  // schedule of this graph is bit-identical. Built once (warmup epoch 0,
+  // uniform 32-bit plan = maximal payloads), re-armed in place forever
+  // after: the stage lambdas read fwd_plans_[l] (stable address) at run
+  // time, so plan refreshes need no rebuild.
+  LayerGraph& lg = fwd_graphs_[l];
+  lg.graph = std::make_unique<pipeline::StageGraph>();
+  pipeline::StageGraph& graph = *lg.graph;
+  const std::string prefix = "L" + std::to_string(l);
+  graph.set_label(prefix + "/forward");
+  const bool exchange = !policy_.deferred;
+  pipeline::PairStages pair;
+  if (exchange) {
+    pair = pipeline::add_forward_exchange_stages(graph, dist_, acts_[l],
+                                                 fwd_plans_[l], lg.acct);
+    for (const auto& row : pair.stage)
+      for (const int id : row)
+        if (id >= 0) lg.exchange_ids.push_back(id);
+  }
+  // Stage `first` (if any) plus every message decoding into d's halo rows.
+  const auto after_inbound = [&](int d, int first) {
+    std::vector<int> deps;
+    if (first >= 0) deps.push_back(first);
+    if (exchange)
+      for (int p : dist_.devices[d].halo_senders)
+        if (pair.stage[p][d] >= 0) deps.push_back(pair.stage[p][d]);
+    return deps;
+  };
+  for (int d = 0; d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    const std::string dn = "d" + std::to_string(d);
+    AccessList acc;
+    if (analysis::racecheck_enabled()) {
+      // Central rows aggregate only owned neighbors (layers.h), so their
+      // read never touches the halo rows the exchange is decoding into;
+      // full rows read everything, ordered behind the inbound decodes.
+      acc.push_back(rc_row_range(acts_[l][d], 0,
+                                 policy_.split ? dev.num_owned
+                                               : dev.num_local(),
+                                 kRcRead, "x[" + dn + "].input_rows"));
+      if (policy_.split)
         rc_rows(acc, acts_[l + 1][d], dev.central_span(), kRcWrite,
                 "h[" + dn + "].central_rows");
-        acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                         "cache[" + dn + "]"));
-        acc.push_back(analysis::write_of(&device_rngs_[d],
-                                         sizeof(device_rngs_[d]),
-                                         "rng[" + dn + "]"));
-      }
-      central[d] = graph.add(
+      else
+        acc.push_back(rc_row_range(acts_[l + 1][d], 0, dev.num_owned,
+                                   kRcWrite, "h[" + dn + "].owned_rows"));
+      acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
+                                       "cache[" + dn + "]"));
+      acc.push_back(analysis::write_of(&device_rngs_[d],
+                                       sizeof(device_rngs_[d]),
+                                       "rng[" + dn + "]"));
+    }
+    if (policy_.split) {
+      // Central rows are the compute meant to hide under the exchange: the
+      // overlap report pairs them with the wire stages.
+      lg.compute_ids.push_back(graph.add(
           prefix + "/central/" + dn,
           [this, l, d] {
             const DeviceGraph& device = dist_.devices[d];
@@ -580,266 +463,334 @@ EpochBreakdown DistTrainer::adaqp_forward_layer(int l, bool training) {
             layer.forward_rows(device, acts_[l][d], acts_[l + 1][d],
                                caches_[l][d], device.central_span());
           },
+          {}, std::move(acc)));
+    } else {
+      graph.add(
+          prefix + "/full/" + dn,
+          [this, l, d] {
+            model_.layer(l).forward(dist_.devices[d], acts_[l][d],
+                                    acts_[l + 1][d], caches_[l][d],
+                                    device_rngs_[d], /*training=*/true);
+          },
+          after_inbound(d, -1), std::move(acc));
+    }
+  }
+  for (int d = 0; policy_.split && d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    const std::string dn = "d" + std::to_string(d);
+    AccessList acc;
+    if (analysis::racecheck_enabled()) {
+      // Marginal rows aggregate halo neighbors too, so the read covers the
+      // whole local matrix — the deps on this device's inbound decodes are
+      // exactly what orders it.
+      acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_local(), kRcRead,
+                                 "x[" + dn + "].local_rows"));
+      rc_rows(acc, acts_[l + 1][d], dev.marginal_span(), kRcWrite,
+              "h[" + dn + "].marginal_rows");
+      acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
+                                       "cache[" + dn + "]"));
+    }
+    graph.add(
+        prefix + "/marginal/" + dn,
+        [this, l, d] {
+          const DeviceGraph& device = dist_.devices[d];
+          model_.layer(l).forward_rows(device, acts_[l][d], acts_[l + 1][d],
+                                       caches_[l][d], device.marginal_span());
+        },
+        after_inbound(d, lg.compute_ids[d]), std::move(acc));
+  }
+  // Warm the staging the 32-bit warmup rounds never touch: quantized
+  // rounds draw per-column stochastic-rounding uniforms.
+  if (exchange)
+    lg.acct.warm(dist_, fwd_plans_[l], /*forward=*/true,
+                 model_.layer_in_dim(l));
+}
+
+EpochBreakdown DistTrainer::backward_layer(int l, std::vector<Matrix>& grads,
+                                           std::vector<Matrix>& grad_x) {
+  LayerGraph& lg = bwd_graphs_[l];
+  const bool exchange = l > 0 && !policy_.deferred;
+  // Size the input-gradient buffers (the exchange stage builder validates
+  // shapes at build time): the row-subset adjoints accumulate, so the
+  // split needs them zeroed; the full-row adjoint zeroes its own.
+  const std::size_t in_dim = model_.layer_in_dim(l);
+  for (int d = 0; d < num_devices_; ++d) {
+    if (policy_.split && l > 0)
+      grad_x[d].reshape_zero(dist_.devices[d].num_local(), in_dim);
+    else
+      grad_x[d].reshape_uninit(dist_.devices[d].num_local(), in_dim);
+  }
+  if (l > 0) bwd_ranges_[l].resize(num_devices_);
+  if (exchange)
+    lg.acct.init(num_devices_,
+                 policy_.skip_stale ? broadcast_rngs_ : device_rngs_);
+  if (!lg.graph) {
+    build_backward_graph(l, grads, grad_x);
+  } else {
+    ADAQP_CHECK_MSG(lg.bound == &grads,
+                    "backward layer graph rebound to a different grad buffer");
+    lg.graph->reset();
+  }
+  run_layer_graph(lg, l, /*forward=*/false, exchange);
+
+  double comm = exchange ? stats_scratch_.comm_seconds : 0.0;
+  if (l > 0 && policy_.deferred) comm = pipegcn_backward_round(l, grad_x);
+  return layer_time(l, /*backward=*/true, comm);
+}
+
+void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
+                                       std::vector<Matrix>& grad_x) {
+  // Determinism at any schedule comes from the same rules as the forward:
+  // disjoint writes per stage (marginal adjoints are the sole writers of
+  // halo gradient rows; central adjoints write owned rows after them),
+  // per-pair RNG streams derived serially per epoch, owner accumulation
+  // folding senders ascending, and one serial fold stage applying
+  // per-(device, subset) partials in ascending device order, marginal
+  // before central.
+  //
+  // The stage lambdas capture grads / grad_x by reference: these are the
+  // grad_flow_ ping-pong vectors, whose parity is fixed per layer, so the
+  // very same objects arrive every epoch (checked by backward_layer).
+  LayerGraph& lg = bwd_graphs_[l];
+  lg.bound = &grads;
+  lg.graph = std::make_unique<pipeline::StageGraph>();
+  pipeline::StageGraph& graph = *lg.graph;
+  const bool split = policy_.split && l > 0;
+  const bool exchange = l > 0 && !policy_.deferred;
+  const GnnLayer& layer = model_.layer(l);
+  std::vector<LayerGrads>& sinks = bwd_sinks_[l];
+  std::vector<LayerGrads>& marginal_sinks = bwd_marginal_sinks_[l];
+  const std::string prefix = "L" + std::to_string(l) + "b";
+  graph.set_label(prefix + "/backward");
+
+  std::vector<int> marginal(num_devices_, -1);
+  std::vector<int> compute(num_devices_, -1);
+  std::vector<int> trace(num_devices_, -1);
+  for (int d = 0; split && d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    const std::string dn = "d" + std::to_string(d);
+    // Marginal-row adjoint: produces every halo gradient row this device
+    // will ship, unblocking its encode stages. Marginal and central share
+    // the per-(layer, device) scratch — they are serialized per device.
+    AccessList acc;
+    if (analysis::racecheck_enabled()) {
+      // The marginal adjoint scatters into neighbors of marginal rows —
+      // owned and halo rows alike — so its write claims the whole local
+      // gradient matrix; everything downstream is ordered behind it.
+      acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
+                                 "grad_out[" + dn + "]"));
+      acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcWrite,
+                                 "grad[" + dn + "].local_rows"));
+      acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
+                                      "cache[" + dn + "]"));
+      acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
+      acc.push_back(analysis::write_of(&marginal_sinks[d],
+                                       sizeof(marginal_sinks[d]),
+                                       "marginal_sinks[" + dn + "]"));
+    }
+    marginal[d] = graph.add(
+        prefix + "/marginal/" + dn,
+        [this, &grads, &grad_x, &marginal_sinks, l, d] {
+          const DeviceGraph& device = dist_.devices[d];
+          model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
+                                        grad_x[d], marginal_sinks[d],
+                                        device.marginal_span(),
+                                        bwd_scratch_[l][d]);
+        },
+        {}, std::move(acc));
+  }
+  for (int d = 0; d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    const std::string dn = "d" + std::to_string(d);
+    // Central-row adjoint (owned-row writes only — the compute that runs
+    // while the halo-gradient exchange is on the wire), or the full-row
+    // adjoint, which writes every local row.
+    AccessList acc;
+    if (analysis::racecheck_enabled()) {
+      acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
+                                 "grad_out[" + dn + "]"));
+      acc.push_back(rc_row_range(grad_x[d], 0,
+                                 split ? dev.num_owned : dev.num_local(),
+                                 kRcWrite, "grad[" + dn + "].rows"));
+      acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
+                                      "cache[" + dn + "]"));
+      acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
+      acc.push_back(analysis::write_of(&sinks[d], sizeof(sinks[d]),
+                                       "sinks[" + dn + "]"));
+    }
+    if (split) {
+      compute[d] = graph.add(
+          prefix + "/central/" + dn,
+          [this, &grads, &grad_x, &sinks, l, d] {
+            const DeviceGraph& device = dist_.devices[d];
+            model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
+                                          grad_x[d], sinks[d],
+                                          device.central_span(),
+                                          bwd_scratch_[l][d]);
+          },
+          {marginal[d]}, std::move(acc));
+    } else {
+      compute[d] = graph.add(
+          prefix + "/full/" + dn,
+          [this, &grads, &grad_x, &sinks, l, d] {
+            model_.layer(l).backward(dist_.devices[d], grads[d],
+                                     caches_[l][d], grad_x[d], sinks[d],
+                                     bwd_scratch_[l][d]);
+          },
           {}, std::move(acc));
     }
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
-      std::vector<int> deps{central[d]};
-      for (int p : dev.halo_senders)
-        if (pair.stage[p][d] >= 0) deps.push_back(pair.stage[p][d]);
-      AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        // Marginal rows aggregate halo neighbors too, so the read covers the
-        // whole local matrix — the deps on this device's inbound decodes are
-        // exactly what orders it.
-        acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_local(), kRcRead,
-                                   "x[" + dn + "].local_rows"));
-        rc_rows(acc, acts_[l + 1][d], dev.marginal_span(), kRcWrite,
-                "h[" + dn + "].marginal_rows");
-        acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                         "cache[" + dn + "]"));
-      }
-      graph.add(
-          prefix + "/marginal/" + dn,
-          [this, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).forward_rows(device, acts_[l][d], acts_[l + 1][d],
-                                         caches_[l][d],
-                                         device.marginal_span());
-          },
-          deps, std::move(acc));
+  }
+  for (int d = 0; l > 0 && d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    const std::string dn = "d" + std::to_string(d);
+    // Assigner range trace: needs the complete local adjoint but must
+    // precede the exchange's mutations (owner accumulate, halo zero).
+    AccessList acc;
+    if (analysis::racecheck_enabled()) {
+      acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcRead,
+                                 "grad[" + dn + "].local_rows"));
+      acc.push_back(analysis::write_of(&bwd_ranges_[l][d],
+                                       sizeof(bwd_ranges_[l][d]),
+                                       "bwd_ranges[" + dn + "]"));
     }
-    // Remember which stages are wire (per-pair encode/transfer/decode) and
-    // which are the central compute meant to hide under them: their stage
-    // timestamps yield the realized overlap in the metrics report. The
-    // graph is persistent, so the ids stay valid for the whole run.
-    for (const auto& row : pair.stage)
+    trace[d] = graph.add(
+        prefix + "/trace/" + dn,
+        [this, &grad_x, l, d] {
+          row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+        },
+        {compute[d]}, std::move(acc));
+  }
+  if (exchange) {
+    pipeline::BackwardStageDeps deps;
+    deps.encode = split ? marginal : compute;  // halo rows are complete
+    deps.accumulate = trace;  // owner's own owned-row writes are complete
+    deps.zero = trace;        // last halo-row reader is done
+    const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
+        graph, dist_, grad_x, bwd_plans_[l], lg.acct, deps);
+    for (const auto& row : wire.stage)
       for (const int id : row)
-        if (id >= 0) fused_fwd_exchange_ids_[l].push_back(id);
-    fused_fwd_compute_ids_[l] = central;
-    // Warm the staging the 32-bit warmup rounds never touch: quantized
-    // rounds draw per-column stochastic-rounding uniforms.
-    acct.warm(dist_, fwd_plans_[l], /*forward=*/true, model_.layer_in_dim(l));
-    graph.run(/*async=*/true);
-    pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
-                                           stats_scratch_);
-  } else {
-    // Steady state: re-derive the per-pair RNG streams (same draws as a
-    // fresh build), re-arm the graph, run. No allocation on any path.
-    pipeline::ExchangeAccounting& acct = adaqp_fwd_acct_[l];
-    acct.init(num_devices_, device_rngs_);
-    adaqp_fwd_graph_[l]->reset();
-    adaqp_fwd_graph_[l]->run(/*async=*/true);
-    pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
-                                           stats_scratch_);
+        if (id >= 0) lg.exchange_ids.push_back(id);
+    for (const int id : wire.owner_stage)
+      if (id >= 0) lg.exchange_ids.push_back(id);
   }
-
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  capture_exchange_stats(stats_scratch_);
-  if (adaqp_fwd_graph_[l]) {
-    capture_overlap(*adaqp_fwd_graph_[l], fused_fwd_exchange_ids_[l],
-                    fused_fwd_compute_ids_[l], /*forward=*/true);
-    capture_profile_segment(*adaqp_fwd_graph_[l], l, /*forward=*/true);
+  // Shared parameter-gradient fold: one serial stage, concurrent with the
+  // wire stages, in fixed device-then-subset order.
+  AccessList fold_acc;
+  if (analysis::racecheck_enabled()) {
+    fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
+    for (int d = 0; d < num_devices_; ++d) {
+      const std::string dn = "d" + std::to_string(d);
+      if (split)
+        fold_acc.push_back(analysis::read_of(&marginal_sinks[d],
+                                             sizeof(marginal_sinks[d]),
+                                             "marginal_sinks[" + dn + "]"));
+      fold_acc.push_back(analysis::read_of(&sinks[d], sizeof(sinks[d]),
+                                           "sinks[" + dn + "]"));
+    }
   }
-  if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-  // Modeled epoch time: central compute hides inside communication, the
-  // quantize / de-quantize kernels and marginal compute do not (Fig. 10a).
-  const double central_s = max_compute_seconds(l, false, true);
-  const double marginal_s = marginal_compute_seconds_max(l, false);
-  const double tq = stats_scratch_.max_quant_seconds();
-  const double tdq = stats_scratch_.max_dequant_seconds();
-  bd.comm = stats_scratch_.comm_seconds;
-  bd.comp = marginal_s;
-  bd.quant = tq + tdq;
-  bd.total =
-      tq + std::max(stats_scratch_.comm_seconds, central_s) + tdq + marginal_s;
-  return bd;
+  // The compute running beside the wire stages: central adjoints (the
+  // full-row adjoint precedes its device's encodes) and the fold.
+  if (split) lg.compute_ids = compute;
+  lg.compute_ids.push_back(graph.add(
+      prefix + "/fold",
+      [this, &sinks, &marginal_sinks, split, l] {
+        for (int d = 0; d < num_devices_; ++d) {
+          if (split) model_.layer(l).apply_grads(marginal_sinks[d]);
+          model_.layer(l).apply_grads(sinks[d]);
+        }
+      },
+      compute, std::move(fold_acc)));
+  // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
+  // rounds never draw any) and the owner-side decode accumulators.
+  if (exchange)
+    lg.acct.warm(dist_, bwd_plans_[l], /*forward=*/false,
+                 model_.layer_in_dim(l));
 }
 
-EpochBreakdown DistTrainer::backward_exchange(int l,
-                                              std::vector<Matrix>& grads) {
-  EpochBreakdown bd;
-  // Trace gradient ranges for the assigner before any mutation.
-  bwd_ranges_[l].resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d)
-    row_ranges_of_into(grads[d], bwd_ranges_[l][d]);
-
-  switch (opts_.method) {
-    case Method::kVanilla: {
-      pipeline::AsyncExchange& ex = sync_backward_exchange(l);
-      ex.submit_backward(grads, bwd_plans_[l], device_rngs_,
-                         exchange_parallel_ok());
-      ex.wait_into(stats_scratch_);
-      total_comm_bytes_ += stats_scratch_.total_bytes();
-      capture_exchange_stats(stats_scratch_);
-      bd.comm = stats_scratch_.comm_seconds;
-      bd.total = stats_scratch_.comm_seconds;
-      return bd;
-    }
-    case Method::kAdaQP:
-    case Method::kAdaQPUniform:
-      // Quantizing methods overlap this exchange with the parameter-gradient
-      // folds directly in backward_pass.
-      ADAQP_CHECK_MSG(false, "AdaQP backward exchange handled in backward_pass");
-      return bd;
-    case Method::kPipeGCN: {
-      // Stale gradient pipeline as cross-iteration stages: the halo-row
-      // gradients computed this epoch are staged into the persistent
-      // per-layer scratch and shipped by an exchange that stays in flight
-      // while the remaining backward layers, Adam, evaluation and the next
-      // epoch's forward run. Last epoch's in-flight exchange is joined
-      // here — its arrivals (accumulated into the scratch owned rows by the
-      // bwd-acc stages) are exactly the remote contributions the phased
-      // implementation banked in pending_grads.
-      const bool had_pending = pipegcn_bwd_active_[l] != 0;
-      bd.comm = join_pipegcn_backward(l);
-      std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        if (had_pending) {
-          for (std::size_t i = 0; i < dev.num_owned; ++i) {
-            auto dst = grads[d].row(i);
-            const auto src = scratch[d].row(i);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-        // Re-stage: zero the owned rows the next exchange accumulates into,
-        // copy this epoch's outbound halo contributions, then drop them
-        // locally (they are being shipped).
-        for (std::size_t i = 0; i < dev.num_owned; ++i) {
-          auto row = scratch[d].row(i);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-        for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
-          const auto src = grads[d].row(h);
-          std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
-          auto row = grads[d].row(h);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-      }
-      pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
-                                                device_rngs_,
-                                                async_pipeline_);
-      pipegcn_bwd_active_[l] = 1;
-      bd.total = 0.0;  // hidden inside compute; composed in backward_pass
-      return bd;
-    }
-    case Method::kSancus: {
-      // Remote gradients only flow toward owners that broadcast fresh
-      // embeddings this epoch; contributions to stale owners are dropped
-      // (the gradient bias that slows SANCUS's convergence).
-      std::vector<std::vector<std::size_t>>& pair_bytes = sancus_pair_bytes_;
-      for (auto& row : pair_bytes) std::fill(row.begin(), row.end(), 0);
-      transport::Transport& tp = transport::active();
-      const std::uint32_t round = ++sancus_bwd_round_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        for (int p = 0; p < num_devices_; ++p) {
-          if (p == d || dev.recv_local[p].empty()) continue;
-          if (!sancus_bcast_now_[l][p]) continue;
-          std::vector<int>& bits = *sancus_bits_[l][d];
-          bits.assign(dev.recv_local[p].size(), 32);
-          encode_rows_into(grads[d], dev.recv_local[p], bits,
-                           device_rngs_[d], wire_uniforms_, wire_block_);
-          pair_bytes[d][p] = wire_block_.wire_bytes();
-          const transport::FrameTag tag{sancus_bwd_chan_[l], round,
-                                        /*direction=*/1,
-                                        static_cast<std::uint8_t>(d),
-                                        static_cast<std::uint8_t>(p)};
-          tp.send(tag, wire_block_.bytes);
-          // Accumulate into the owner's owned rows.
-          const auto& rows = dist_.devices[p].send_local[d];
-          Matrix& tmp = *sancus_tmp_;
-          tmp.reshape_uninit(rows.size(), grads[p].cols());
-          std::vector<NodeId>& seq = *sancus_seq_;
-          while (seq.size() < rows.size())
-            seq.push_back(static_cast<NodeId>(seq.size()));
-          decode_rows(tp.recv(tag, wire_block_.bytes), tmp,
-                      std::span<const NodeId>(seq.data(), rows.size()));
-          for (std::size_t i = 0; i < rows.size(); ++i) {
-            auto dst = grads[p].row(rows[i]);
-            const auto src = tmp.row(i);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-      }
+void DistTrainer::run_layer_graph(LayerGraph& lg, int l, bool forward,
+                                  bool exchange) {
+  lg.graph->run(async_pipeline_);
+  if (exchange) {
+    pipeline::finalize_exchange_stats_into(lg.acct, dist_, cluster_,
+                                           stats_scratch_);
+    if (policy_.skip_stale) {
+      // Sequential broadcasts: every message pays its own link time (the
+      // inefficiency the paper calls out in §5.1), not the ring
+      // all-to-all's per-round straggler.
       double comm = 0.0;
       for (int d = 0; d < num_devices_; ++d)
-        for (int p = 0; p < num_devices_; ++p) {
-          total_comm_bytes_ += pair_bytes[d][p];
-          comm += cluster_.transfer_seconds(d, p, pair_bytes[d][p]);
-        }
-      capture_sancus_pairs(pair_bytes);
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
-          auto row = grads[d].row(h);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-      }
-      bd.comm = comm;
-      bd.total = comm;
-      return bd;
+        for (int p = 0; p < num_devices_; ++p)
+          comm += cluster_.transfer_seconds(d, p,
+                                            stats_scratch_.pair_bytes[d][p]);
+      stats_scratch_.comm_seconds = comm;
     }
+    account_exchange(l, forward);
   }
-  return bd;
+  capture_overlap(lg, forward);
+  capture_profile_segment(*lg.graph, l, forward);
 }
 
-EpochBreakdown DistTrainer::forward_pass(bool training, double* loss_out) {
-  EpochBreakdown total;
-  const bool quantizing = opts_.method == Method::kAdaQP ||
-                          opts_.method == Method::kAdaQPUniform;
-  for (int l = 0; l < num_layers_; ++l) {
-    if (quantizing) {
-      // Fused exchange + compute through the pipeline scheduler.
-      total.accumulate(adaqp_forward_layer(l, training));
+void DistTrainer::sancus_drift_step(int l) {
+  // Boundary rows are owned rows and the exchange decodes write only halo
+  // rows, so every owner's decision is independent of the others'.
+  for (int d = 0; d < num_devices_; ++d) {
+    const std::span<const NodeId> boundary = dist_.devices[d].boundary_span();
+    Matrix& snapshot = *sancus_snapshot_[l][d];
+    snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
+    for (std::size_t i = 0; i < boundary.size(); ++i) {
+      const auto src = acts_[l][d].row(boundary[i]);
+      std::copy(src.begin(), src.end(), snapshot.row(i).begin());
+    }
+    Matrix& last = sancus_last_bcast_[l][d];
+    bool bcast = true;
+    if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
+        last.same_shape(snapshot)) {
+      const double base = last.frobenius_norm();
+      Matrix& diff = *sancus_diff_[l][d];
+      copy_matrix_into(snapshot, diff);
+      diff.axpy_inplace(-1.0f, last);
+      const double drift = diff.frobenius_norm() / (base + 1e-12);
+      bcast = drift > opts_.sancus_drift_threshold;
+    }
+    sancus_skip_[l][d] = bcast ? 0 : 1;
+    if (!bcast) {
+      sancus_staleness_[l][d]++;
       continue;
     }
-    EpochBreakdown stage = forward_exchange(l);
-    // Each simulated device's layer compute is one task on the pool: it
-    // touches only its own activations, cache and Rng stream, so devices
-    // run concurrently with bit-identical results at any thread count.
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
-                              caches_[l][d], device_rngs_[d], training);
-    });
-    if (opts_.method == Method::kPipeGCN && pipegcn_warm_) {
-      // Deferred exchange: ship the (already-consumed) inputs so next
-      // epoch's halos are one-epoch stale. The stages stay in flight across
-      // the iteration boundary — overlapping the layers below, the whole
-      // backward pass and the next epoch's earlier layers — and are joined
-      // by forward_exchange right before these buffers are touched again.
-      submit_pipegcn_forward(l);
-    }
-    total.accumulate(stage);
+    sancus_staleness_[l][d] = 0;
+    // Copy, not move: the snapshot is pooled scratch and must keep its
+    // buffer for the next epoch.
+    copy_matrix_into(snapshot, last);
   }
+}
 
-  if (loss_out) {
-    // Loss values only (gradients handled in backward_pass); per-device
-    // terms computed concurrently into epoch-arena scratch, reduced in
-    // ascending device order. The gradient sink is pooled per device and
-    // re-zeroed because the losses accumulate into it.
-    double* device_loss = ws_.arena().span<double>(
-        static_cast<std::size_t>(num_devices_));
-    run_device_tasks([&](int d) {
-      Matrix& sink = *loss_sink_[d];
-      sink.reshape_zero(acts_[num_layers_][d].rows(),
-                        acts_[num_layers_][d].cols());
-      if (!dataset_.spec.multi_label) {
-        device_loss[d] = softmax_cross_entropy(
-            acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-            global_train_count_, sink, *loss_prob_[d]);
-      } else {
-        device_loss[d] =
-            bce_with_logits(acts_[num_layers_][d], train_rows_[d],
-                            train_targets_[d], global_train_count_, sink);
-      }
-    });
-    double loss = 0.0;
-    for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
-    *loss_out = loss / global_train_count_;
-  }
+EpochBreakdown DistTrainer::forward_pass(double& loss_out) {
+  EpochBreakdown total;
+  for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
+
+  // Loss values only (gradients handled in backward_pass); per-device
+  // terms computed concurrently into epoch-arena scratch, reduced in
+  // ascending device order. The gradient sink is pooled per device and
+  // re-zeroed because the losses accumulate into it.
+  double* device_loss =
+      ws_.arena().span<double>(static_cast<std::size_t>(num_devices_));
+  run_device_tasks([&](int d) {
+    Matrix& sink = *loss_sink_[d];
+    sink.reshape_zero(acts_[num_layers_][d].rows(),
+                      acts_[num_layers_][d].cols());
+    if (!dataset_.spec.multi_label) {
+      device_loss[d] = softmax_cross_entropy(
+          acts_[num_layers_][d], train_rows_[d], train_labels_[d],
+          global_train_count_, sink, *loss_prob_[d]);
+    } else {
+      device_loss[d] =
+          bce_with_logits(acts_[num_layers_][d], train_rows_[d],
+                          train_targets_[d], global_train_count_, sink);
+    }
+  });
+  double loss = 0.0;
+  for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
+  loss_out = loss / global_train_count_;
   return total;
 }
 
@@ -850,7 +801,7 @@ EpochBreakdown DistTrainer::backward_pass() {
   // Gradients flow through the two persistent ping-pong buffer sets: at
   // layer l, the incoming grad lives in grad_flow_[(num_layers_-1-l) % 2]
   // and the input grad in the other — fixed per layer across epochs, which
-  // is what lets the persistent exchanges and stage graphs bind them once.
+  // is what lets the persistent stage graphs bind them once.
   std::vector<Matrix>* grads = &grad_flow_[0];
   std::vector<Matrix>* grad_x = &grad_flow_[1];
   run_device_tasks([&](int d) {
@@ -869,262 +820,20 @@ EpochBreakdown DistTrainer::backward_pass() {
   });
 
   for (int l = num_layers_ - 1; l >= 0; --l) {
-    EpochBreakdown stage;
-    const bool quantizing = opts_.method == Method::kAdaQP ||
-                            opts_.method == Method::kAdaQPUniform;
-    if (l > 0 && quantizing) {
-      // Full-duplex backward: row-subset adjoints + halo-gradient exchange
-      // as one stage graph (central-row backward runs while the exchange is
-      // on the wire).
-      stage = adaqp_backward_layer(l, *grads, *grad_x);
-    } else {
-      // Per-device backward runs concurrently into per-device gradient
-      // sinks; the shared parameter gradients are then reduced in ascending
-      // device order so the epoch is deterministic at any thread count.
-      std::vector<LayerGrads>& sinks = bwd_sinks_[l];
-      const GnnLayer& layer = model_.layer(l);
-      run_device_tasks([&](int d) {
-        layer.backward(dist_.devices[d], (*grads)[d], caches_[l][d],
-                       (*grad_x)[d], sinks[d], bwd_scratch_[l][d]);
-      });
-      const double comp_all = max_compute_seconds(l, true, false);
-      for (int d = 0; d < num_devices_; ++d)
-        model_.layer(l).apply_grads(sinks[d]);
-      if (l > 0) {
-        stage = backward_exchange(l, *grad_x);
-        switch (opts_.method) {
-          case Method::kVanilla:
-          case Method::kSancus:
-            stage.comp = comp_all;
-            stage.total += comp_all;
-            break;
-          case Method::kAdaQP:
-          case Method::kAdaQPUniform:
-            break;  // handled above
-          case Method::kPipeGCN:
-            stage.comp = comp_all;
-            stage.total = std::max(comp_all, stage.comm);
-            break;
-        }
-      } else {
-        stage.comp = comp_all;
-        stage.total = comp_all;
-      }
-    }
-    total.accumulate(stage);
+    total.accumulate(backward_layer(l, *grads, *grad_x));
     std::swap(grads, grad_x);
   }
   return total;
-}
-
-EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
-                                                 std::vector<Matrix>& grads,
-                                                 std::vector<Matrix>& grad_x) {
-  EpochBreakdown bd;
-  const std::size_t in_dim = model_.layer_in_dim(l);
-  bwd_ranges_[l].resize(num_devices_);
-  pipeline::ExchangeAccounting& acct = adaqp_bwd_acct_[l];
-
-  // Pre-size the gradient buffers every epoch (zero-initialized: the
-  // row-subset adjoints accumulate, and the exchange stage builder
-  // validates shapes at graph-build time).
-  for (int d = 0; d < num_devices_; ++d)
-    grad_x[d].reshape_zero(dist_.devices[d].num_local(), in_dim);
-
-  if (!adaqp_bwd_graph_[l]) {
-    // Stage graph of one layer's backward, built once (warmup) and re-armed
-    // in place every later epoch. Determinism at any schedule comes from
-    // the same rules as the forward split: disjoint writes per stage
-    // (marginal adjoints are the sole writers of halo gradient rows;
-    // central adjoints write owned rows after them), per-pair RNG streams
-    // derived serially per epoch, owner accumulation folding senders
-    // ascending, and one serial fold stage applying per-(device, subset)
-    // partials in ascending device order, marginal before central.
-    //
-    // The stage lambdas capture grads / grad_x by reference: these are the
-    // grad_flow_ ping-pong vectors, whose parity is fixed per layer, so the
-    // very same objects arrive every epoch (checked below).
-    adaqp_bwd_bound_[l] = &grads;
-    adaqp_bwd_graph_[l] = std::make_unique<pipeline::StageGraph>();
-    pipeline::StageGraph& graph = *adaqp_bwd_graph_[l];
-    const GnnLayer& layer = model_.layer(l);
-    std::vector<LayerGrads>& marginal_sinks = adaqp_marginal_sinks_[l];
-    std::vector<LayerGrads>& central_sinks = adaqp_central_sinks_[l];
-    std::string prefix = "L";
-    prefix += std::to_string(l);
-    prefix += "b";
-    graph.set_label(prefix + "/backward");
-    acct.init(num_devices_, device_rngs_);
-
-    std::vector<int> marginal(num_devices_, -1);
-    std::vector<int> central(num_devices_, -1);
-    std::vector<int> trace(num_devices_, -1);
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
-      // Marginal-row adjoint: produces every halo gradient row this device
-      // will ship, unblocking its encode stages. Marginal and central share
-      // the per-(layer, device) scratch — they are serialized per device.
-      AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        // The marginal adjoint scatters into neighbors of marginal rows —
-        // owned and halo rows alike — so its write claims the whole local
-        // gradient matrix; everything downstream is ordered behind it.
-        acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
-                                   "grad_out[" + dn + "]"));
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcWrite,
-                                   "grad[" + dn + "].local_rows"));
-        acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                        "cache[" + dn + "]"));
-        acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
-        acc.push_back(analysis::write_of(&marginal_sinks[d],
-                                         sizeof(marginal_sinks[d]),
-                                         "marginal_sinks[" + dn + "]"));
-      }
-      marginal[d] = graph.add(
-          prefix + "/marginal/" + dn,
-          [this, &grads, &grad_x, &marginal_sinks, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
-                                          grad_x[d], marginal_sinks[d],
-                                          device.marginal_span(),
-                                          adaqp_bwd_scratch_[l][d]);
-          },
-          {}, std::move(acc));
-    }
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
-      // Central-row adjoint: owned-row writes only — this is the compute
-      // that runs while the halo-gradient exchange is on the wire.
-      AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
-                                   "grad_out[" + dn + "]"));
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_owned, kRcWrite,
-                                   "grad[" + dn + "].owned_rows"));
-        acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                        "cache[" + dn + "]"));
-        acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
-        acc.push_back(analysis::write_of(&central_sinks[d],
-                                         sizeof(central_sinks[d]),
-                                         "central_sinks[" + dn + "]"));
-      }
-      central[d] = graph.add(
-          prefix + "/central/" + dn,
-          [this, &grads, &grad_x, &central_sinks, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
-                                          grad_x[d], central_sinks[d],
-                                          device.central_span(),
-                                          adaqp_bwd_scratch_[l][d]);
-          },
-          {marginal[d]}, std::move(acc));
-    }
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
-      // Assigner range trace: needs the complete local adjoint but must
-      // precede the exchange's mutations (owner accumulate, halo zero).
-      AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcRead,
-                                   "grad[" + dn + "].local_rows"));
-        acc.push_back(analysis::write_of(&bwd_ranges_[l][d],
-                                         sizeof(bwd_ranges_[l][d]),
-                                         "bwd_ranges[" + dn + "]"));
-      }
-      trace[d] = graph.add(
-          prefix + "/trace/" + dn,
-          [this, &grad_x, l, d] {
-            row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
-          },
-          {central[d]}, std::move(acc));
-    }
-    pipeline::BackwardStageDeps deps;
-    deps.encode = marginal;     // halo rows are complete
-    deps.accumulate = trace;    // owner's own owned-row writes are complete
-    deps.zero = trace;          // last halo-row reader is done
-    const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
-        graph, dist_, grad_x, bwd_plans_[l], acct, deps);
-    // Shared parameter-gradient fold: one serial stage, concurrent with the
-    // wire stages, in fixed device-then-subset order.
-    std::vector<int> fold_deps(central.begin(), central.end());
-    AccessList fold_acc;
-    if (analysis::racecheck_enabled()) {
-      fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
-      for (int d = 0; d < num_devices_; ++d) {
-        const std::string dn = "d" + std::to_string(d);
-        fold_acc.push_back(analysis::read_of(&marginal_sinks[d],
-                                             sizeof(marginal_sinks[d]),
-                                             "marginal_sinks[" + dn + "]"));
-        fold_acc.push_back(analysis::read_of(&central_sinks[d],
-                                             sizeof(central_sinks[d]),
-                                             "central_sinks[" + dn + "]"));
-      }
-    }
-    const int fold_id = graph.add(
-        prefix + "/fold",
-        [this, &marginal_sinks, &central_sinks, l] {
-          for (int d = 0; d < num_devices_; ++d) {
-            model_.layer(l).apply_grads(marginal_sinks[d]);
-            model_.layer(l).apply_grads(central_sinks[d]);
-          }
-        },
-        fold_deps, std::move(fold_acc));
-    // Wire stages (per-pair encodes + owner accumulates) vs the compute
-    // running while they are in flight (central adjoints + the fold): the
-    // stage timestamps yield the realized backward overlap in the report.
-    for (const auto& row : wire.stage)
-      for (const int id : row)
-        if (id >= 0) fused_bwd_exchange_ids_[l].push_back(id);
-    for (const int id : wire.owner_stage)
-      if (id >= 0) fused_bwd_exchange_ids_[l].push_back(id);
-    fused_bwd_compute_ids_[l] = central;
-    fused_bwd_compute_ids_[l].push_back(fold_id);
-    // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
-    // rounds never draw any) and the owner-side decode accumulators.
-    acct.warm(dist_, bwd_plans_[l], /*forward=*/false, in_dim);
-    graph.run(async_pipeline_);
-  } else {
-    // Steady state: same objects, re-derived RNG streams, re-armed graph.
-    ADAQP_CHECK_MSG(adaqp_bwd_bound_[l] == &grads,
-                    "adaqp backward graph rebound to a different grad buffer");
-    acct.init(num_devices_, device_rngs_);
-    adaqp_bwd_graph_[l]->reset();
-    adaqp_bwd_graph_[l]->run(async_pipeline_);
-  }
-
-  pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
-                                         stats_scratch_);
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  capture_exchange_stats(stats_scratch_);
-  capture_overlap(*adaqp_bwd_graph_[l], fused_bwd_exchange_ids_[l],
-                  fused_bwd_compute_ids_[l], /*forward=*/false);
-  capture_profile_segment(*adaqp_bwd_graph_[l], l, /*forward=*/false);
-  // Modeled epoch time, same composition as before: central backward hides
-  // inside the comm window, quantize kernels and marginal backward do not.
-  const double central_s = max_compute_seconds(l, true, true);
-  const double tq = stats_scratch_.max_quant_seconds();
-  const double tdq = stats_scratch_.max_dequant_seconds();
-  bd.comm = stats_scratch_.comm_seconds;
-  bd.quant = tq + tdq;
-  bd.comp = marginal_compute_seconds_max(l, true);
-  bd.total =
-      tq + std::max(stats_scratch_.comm_seconds, central_s) + tdq + bd.comp;
-  return bd;
 }
 
 double DistTrainer::join_pipegcn_forward(int l) {
   if (!pipegcn_fwd_active_[l]) return 0.0;
   pipegcn_fwd_inflight_[l]->wait_into(stats_scratch_);
   pipegcn_fwd_active_[l] = 0;
-  total_comm_bytes_ += stats_scratch_.total_bytes();
   // Deferred traffic lands in the epoch row of the epoch that *joins* it
   // (one after the submit); the end-of-run drain past the last epoch only
   // feeds the global counters.
-  capture_exchange_stats(stats_scratch_);
-  if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
+  account_exchange(l, /*forward=*/true);
   pipegcn_joined_comm_[l] += stats_scratch_.comm_seconds;
   return stats_scratch_.comm_seconds;
 }
@@ -1133,8 +842,7 @@ double DistTrainer::join_pipegcn_backward(int l) {
   if (!pipegcn_bwd_active_[l]) return 0.0;
   pipegcn_bwd_inflight_[l]->wait_into(stats_scratch_);
   pipegcn_bwd_active_[l] = 0;
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  capture_exchange_stats(stats_scratch_);
+  account_exchange(l, /*forward=*/false);
   return stats_scratch_.comm_seconds;
 }
 
@@ -1145,6 +853,53 @@ void DistTrainer::submit_pipegcn_forward(int l) {
   pipegcn_fwd_inflight_[l]->submit_forward(acts_[l], fwd_plans_[l],
                                            device_rngs_, async_pipeline_);
   pipegcn_fwd_active_[l] = 1;
+}
+
+double DistTrainer::pipegcn_backward_round(int l,
+                                           std::vector<Matrix>& grads) {
+  // Stale gradient pipeline as cross-iteration stages: the halo-row
+  // gradients computed this epoch are staged into the persistent per-layer
+  // scratch and shipped by an exchange that stays in flight while the
+  // remaining backward layers, Adam, evaluation and the next epoch's
+  // forward run. Last epoch's in-flight exchange is joined here — its
+  // arrivals were accumulated into the scratch owned rows by the bwd-acc
+  // stages.
+  const bool had_pending = pipegcn_bwd_active_[l] != 0;
+  const double comm = join_pipegcn_backward(l);
+  std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
+  for (int d = 0; d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    if (had_pending) {
+      for (std::size_t i = 0; i < dev.num_owned; ++i) {
+        auto dst = grads[d].row(i);
+        const auto src = scratch[d].row(i);
+        for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
+      }
+    }
+    // Re-stage: zero the owned rows the next exchange accumulates into,
+    // copy this epoch's outbound halo contributions, then drop them
+    // locally (they are being shipped).
+    for (std::size_t i = 0; i < dev.num_owned; ++i) {
+      auto row = scratch[d].row(i);
+      std::fill(row.begin(), row.end(), 0.0f);
+    }
+    for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
+      const auto src = grads[d].row(h);
+      std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
+      auto row = grads[d].row(h);
+      std::fill(row.begin(), row.end(), 0.0f);
+    }
+  }
+  pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
+                                            device_rngs_, async_pipeline_);
+  pipegcn_bwd_active_[l] = 1;
+  return comm;
+}
+
+void DistTrainer::account_exchange(int l, bool forward) {
+  total_comm_bytes_ += stats_scratch_.total_bytes();
+  capture_exchange_stats(stats_scratch_);
+  if (forward && l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
 }
 
 void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
@@ -1163,52 +918,18 @@ void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
     }
 }
 
-void DistTrainer::capture_sancus_pairs(
-    const std::vector<std::vector<std::size_t>>& pair_bytes) {
-  // The serial broadcast loops bypass AsyncExchange, so feed the always-on
-  // exchange counters here too — one round, full-precision rows only, the
-  // 12-byte block header excluded from the by-width split.
-  const obs::Instruments& ins = obs::instruments();
-  const std::size_t w32 = static_cast<std::size_t>(obs::width_index(32));
+void DistTrainer::capture_overlap(const LayerGraph& lg, bool forward) {
   obs::EpochRow* row = capture_.row(epoch_);
-  std::uint64_t messages = 0;
-  std::uint64_t payload = 0;
-  std::array<std::uint64_t, obs::kNumWidths> by_width{};
-  for (int d = 0; d < num_devices_; ++d)
-    for (int p = 0; p < num_devices_; ++p) {
-      const std::size_t bytes = pair_bytes[static_cast<std::size_t>(d)]
-                                          [static_cast<std::size_t>(p)];
-      if (bytes == 0) continue;
-      const std::uint64_t body = bytes > 12 ? bytes - 12 : 0;
-      messages += 1;
-      payload += body;
-      if (row != nullptr) {
-        by_width[w32] = body;
-        row->wire_bytes[w32] += body;
-        capture_.add_pair(epoch_, d, p, by_width, bytes);
-      }
-    }
-  if (messages == 0) return;
-  ins.exchange_rounds.add(1);
-  ins.exchange_messages.add(messages);
-  ins.exchange_wire_bytes[w32]->add(payload);
-  if (row != nullptr) row->messages += messages;
-}
-
-void DistTrainer::capture_overlap(const pipeline::StageGraph& graph,
-                                  const std::vector<int>& exchange_ids,
-                                  const std::vector<int>& compute_ids,
-                                  bool forward) {
-  obs::EpochRow* row = capture_.row(epoch_);
-  if (row == nullptr || exchange_ids.empty() || compute_ids.empty()) return;
+  if (row == nullptr) return;
   // Stage timestamps into the pre-reserved interval scratch; the interval
   // math mutates in place and never grows beyond the reserved capacity.
+  const pipeline::StageGraph& graph = *lg.graph;
   iv_exchange_.clear();
   iv_compute_.clear();
-  for (const int id : exchange_ids)
+  for (const int id : lg.exchange_ids)
     iv_exchange_.emplace_back(graph.stage_begin_us(id),
                               graph.stage_end_us(id));
-  for (const int id : compute_ids)
+  for (const int id : lg.compute_ids)
     iv_compute_.emplace_back(graph.stage_begin_us(id),
                              graph.stage_end_us(id));
   obs::accumulate_overlap(iv_exchange_, iv_compute_,
@@ -1270,7 +991,7 @@ void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
 }
 
 void DistTrainer::refresh_plans() {
-  if (opts_.method == Method::kAdaQP) {
+  if (policy_.plans == Policy::Plans::kAssigner) {
     const Aggregator agg = model_.config().aggregator;
     for (int l = 0; l < num_layers_; ++l) {
       if (fwd_ranges_[l].empty()) continue;
@@ -1292,7 +1013,7 @@ void DistTrainer::refresh_plans() {
       assign_seconds_ +=
           report.solve_wall_seconds + report.sim_gather_scatter_seconds;
     }
-  } else if (opts_.method == Method::kAdaQPUniform) {
+  } else if (policy_.plans == Policy::Plans::kRandomUniform) {
     for (int l = 0; l < num_layers_; ++l)
       fwd_plans_[l] =
           sample_uniform_plan(dist_, Direction::kForward, master_rng_);
@@ -1319,7 +1040,7 @@ EpochRecord DistTrainer::train_epoch() {
   const std::uint64_t a0 = memory::alloc_count();
   for (Param* p : params_) p->grad.set_zero();
   double loss = 0.0;
-  EpochBreakdown fwd = forward_pass(/*training=*/true, &loss);
+  EpochBreakdown fwd = forward_pass(loss);
   const std::uint64_t a1 = memory::alloc_count();
   const double w1 = obs::monotonic_us();
   EpochBreakdown bwd = backward_pass();
@@ -1338,13 +1059,11 @@ EpochRecord DistTrainer::train_epoch() {
   rec.time.comm += sync;
   rec.time.total += sync;
 
-  if (opts_.method == Method::kPipeGCN) pipegcn_warm_ = true;
+  if (policy_.deferred) pipegcn_warm_ = true;
 
   // Periodic bit-width (re-)assignment at the end of the traced period.
-  const bool quantizing = opts_.method == Method::kAdaQP ||
-                          opts_.method == Method::kAdaQPUniform;
   const bool refresh_now =
-      quantizing &&
+      policy_.plans != Policy::Plans::kUniform32 &&
       (epoch_ == 0 || (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
   if (refresh_now) refresh_plans();
   const std::uint64_t a4 = memory::alloc_count();
@@ -1488,7 +1207,7 @@ RunResult DistTrainer::run() {
     iv_exchange_.reserve(nd * nd + nd);   // pair stages + owner accumulates
     iv_compute_.reserve(nd + 1);          // central stages + fold
     // ADAQP_PROFILE (default on with metrics): critical-path profile rows
-    // plus the shared DAG scratch, sized for the largest fused layer graph
+    // plus the shared DAG scratch, sized for the largest layer graph
     // — nd^2 pair stages, a handful of per-device stages, the fold — so
     // per-epoch capture stays allocation-free.
     if (obs::profile_enabled()) {
@@ -1514,7 +1233,7 @@ RunResult DistTrainer::run() {
   // total_comm_bytes and the time accounting cover every exchange of the
   // run (there is no next-epoch compute left to hide the tail inside, so
   // its comm time is exposed). Identical in async and sync modes.
-  if (opts_.method == Method::kPipeGCN && !result.epochs.empty()) {
+  if (policy_.deferred && !result.epochs.empty()) {
     EpochBreakdown tail;
     for (int l = 0; l < num_layers_; ++l) {
       tail.comm += join_pipegcn_forward(l);

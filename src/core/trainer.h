@@ -26,24 +26,27 @@
 // ascending device order — so a run is bit-identical at any ADAQP_THREADS
 // setting (tests/test_runtime.cpp enforces this).
 //
-// With ADAQP_ASYNC=1 (the default) the AdaQP / AdaQP-Uniform layers run
-// through the pipeline stage scheduler (src/pipeline/) in both directions.
-// Forward: the marginal-row encode/wire/decode stages execute concurrently
-// with the central-subgraph forward, joining before marginal compute — the
-// *real* execution of the overlap the cost model's max(comm, central)
-// arithmetic predicts. Backward (full duplex): each layer's backward is
-// decomposed into row-subset adjoints — the marginal-row adjoint produces
-// the halo gradient rows, whose encode/wire stages then run concurrently
-// with the central-row adjoint and the shared parameter-gradient fold;
-// owner-side accumulation waits for the owner's central stage (both add
-// into boundary rows). PipeGCN's deferred exchanges are the same stages
-// kept in flight *across iteration boundaries*: a layer's stale halo
-// send/recv overlaps the rest of the epoch (later layers, backward, Adam,
-// evaluation) and the next epoch's earlier layers, and is joined lazily
-// just before its buffers are reread or rewritten. ADAQP_ASYNC=0 keeps the
-// phased execution; both modes (and any thread count, and any ADAQP_ISA)
-// are bit-identical, enforced by tests/test_pipeline.cpp. Setting
-// ADAQP_TRACE to a path makes run() record a Chrome trace of the stages.
+// Every method runs each layer, in each direction, as one persistent
+// pipeline stage graph (src/pipeline/) built by the same two builders; the
+// method only picks a small policy (DistTrainer::Policy): the bit-width plan
+// source, whether compute splits into central/marginal row subsets, whether
+// the halo exchange is deferred across the iteration boundary, and whether
+// owners skip broadcasts whose rows barely drifted. With the split, the
+// marginal-row encode/wire/decode stages run concurrently with the
+// central-subgraph forward, joining before marginal compute — the *real*
+// execution of the overlap the cost model's max(comm, central) arithmetic
+// predicts; backward is full duplex: the marginal-row adjoint produces the
+// halo gradient rows, whose encode/wire stages then run concurrently with
+// the central-row adjoint and the shared parameter-gradient fold.
+// Without it, one full-row stage per device waits for its inbound messages.
+// PipeGCN's deferred exchanges stay in flight *across iteration
+// boundaries*: a layer's stale halo send/recv overlaps the rest of the
+// epoch and the next epoch's earlier layers, and is joined lazily just
+// before its buffers are reread or rewritten. ADAQP_ASYNC=0 runs the same
+// graphs serially in ascending stage-id order; both modes (and any thread
+// count, and any ADAQP_ISA) are bit-identical, enforced by
+// tests/test_pipeline.cpp. Setting ADAQP_TRACE to a path makes run() record
+// a Chrome trace of the stages.
 #pragma once
 
 #include <functional>
@@ -186,8 +189,36 @@ class DistTrainer {
   const obs::RunCapture& run_capture() const { return capture_; }
 
  private:
+  /// How the method runs a layer — the one place opts_.method is read
+  /// (besides method_name), filled once by the constructor. The five
+  /// methods differ only in these four choices; every layer of every
+  /// method runs through the same forward/backward graph builders.
+  struct Policy {
+    enum class Plans { kUniform32, kAssigner, kRandomUniform };
+    Plans plans = Plans::kUniform32;  ///< bit-width plan source
+    /// Central/marginal row-subset compute stages (AdaQP): central rows
+    /// overlap the exchange. Otherwise one full-row stage per device.
+    bool split = false;
+    /// The exchange runs outside the graph, one epoch late (PipeGCN).
+    bool deferred = false;
+    /// Per-owner broadcast skipping on boundary-row drift (SANCUS).
+    bool skip_stale = false;
+  };
+
+  /// One persistent per-layer, per-direction stage graph: built in the
+  /// warmup epoch, reset() and re-run every later epoch, plus the exchange
+  /// accounting its stages write and the stage ids the overlap report
+  /// reads (ids stay valid for the graph's lifetime).
+  struct LayerGraph {
+    std::unique_ptr<pipeline::StageGraph> graph;
+    pipeline::ExchangeAccounting acct;
+    std::vector<int> exchange_ids;  ///< wire stages
+    std::vector<int> compute_ids;   ///< compute running beside them
+    const void* bound = nullptr;    ///< backward: grads vector bound at build
+  };
+
   void refresh_plans();
-  EpochBreakdown forward_pass(bool training, double* loss_out);
+  EpochBreakdown forward_pass(double& loss);
   EpochBreakdown backward_pass();
 
   /// Run fn(d) for every device as one task group on the runtime pool.
@@ -199,35 +230,39 @@ class DistTrainer {
                       [&fn](std::size_t d) { fn(static_cast<int>(d)); });
   }
 
-  /// Persistent per-layer synchronous exchanges (Vanilla, PipeGCN cold
-  /// start, the phased ADAQP_ASYNC=0 forward): one multi-shot AsyncExchange
-  /// each, built on first use, submit+wait per call thereafter.
-  pipeline::AsyncExchange& sync_forward_exchange(int l);
-  pipeline::AsyncExchange& sync_backward_exchange(int l);
+  /// Layer l's forward (input acts_[l] -> acts_[l + 1]) and backward
+  /// (grads -> grad_x): the policy's pre-graph steps, one run of the
+  /// layer's persistent graph, exchange accounting and the modeled time.
+  EpochBreakdown forward_layer(int l);
+  EpochBreakdown backward_layer(int l, std::vector<Matrix>& grads,
+                                std::vector<Matrix>& grad_x);
+  /// Graph builders. Forward: per-pair exchange stages (unless deferred),
+  /// then per device either a central stage (concurrent with the
+  /// exchange) and a marginal stage gated on its inbound messages, or one
+  /// full-row stage gated on them. Backward: per device either marginal
+  /// then central row-subset adjoints or one full-row adjoint, a range
+  /// trace, the halo-gradient exchange (encodes after the halo rows are
+  /// final, owner accumulation after the owner's own writes and trace) and
+  /// one serial parameter-gradient fold in ascending device order.
+  void build_forward_graph(int l);
+  void build_backward_graph(int l, std::vector<Matrix>& grads,
+                            std::vector<Matrix>& grad_x);
+  /// Run a built graph and, when it holds an exchange, finalize its stats
+  /// into stats_scratch_ and account them; then capture overlap and the
+  /// profile segment.
+  void run_layer_graph(LayerGraph& lg, int l, bool forward, bool exchange);
+  /// Modeled seconds of one layer in one direction (paper Fig. 10a): with
+  /// the split, central compute hides inside comm and quantize kernels and
+  /// marginal compute do not; a deferred exchange hides inside compute;
+  /// otherwise comm and compute add up. `comm` is this layer's exchange.
+  EpochBreakdown layer_time(int l, bool backward, double comm) const;
 
-  // Per-method forward halo handling for layer input index `l` (the input
-  // matrices acts_[l]); returns stage time contributions.
-  EpochBreakdown forward_exchange(int l);
-  EpochBreakdown backward_exchange(int l, std::vector<Matrix>& grads);
-
-  /// AdaQP / AdaQP-Uniform layer execution: exchange + forward compute of
-  /// layer l as one pipeline stage graph (async mode overlaps the per-pair
-  /// encode/wire/decode with central-row compute; sync mode runs the phased
-  /// reference schedule). Bit-identical either way.
-  EpochBreakdown adaqp_forward_layer(int l, bool training);
-
-  /// Full-duplex backward of layer l (AdaQP / AdaQP-Uniform, l > 0): one
-  /// stage graph running, per device, the marginal-row adjoint (the sole
-  /// writer of halo gradient rows), then — concurrently with the per-pair
-  /// halo-gradient encode/wire stages — the central-row adjoint and the
-  /// shared parameter-gradient fold. Owner-side accumulate stages wait for
-  /// the owner's central stage (both add into boundary rows) and the
-  /// assigner's range-trace stage. Per-(device, subset) weight-gradient
-  /// partials are folded in ascending device order, marginal before central.
-  /// Writes grad_x (resized); bit-identical across async/sync, thread
-  /// counts and ISAs.
-  EpochBreakdown adaqp_backward_layer(int l, std::vector<Matrix>& grads,
-                                      std::vector<Matrix>& grad_x);
+  /// SANCUS drift test for layer input l, before its forward graph runs:
+  /// each owner re-broadcasts its boundary rows only if they drifted past
+  /// the threshold or hit the staleness cap; the rest are marked in
+  /// sancus_skip_[l], which the layer's forward and backward exchanges
+  /// read (remote gradients to a skipped owner are dropped).
+  void sancus_drift_step(int l);
 
   /// Join the in-flight PipeGCN deferred exchange of layer input l (no-op
   /// when none is pending); returns its modeled comm seconds and accounts
@@ -235,25 +270,28 @@ class DistTrainer {
   /// reread or rewritten — one epoch after the submit.
   double join_pipegcn_forward(int l);
   double join_pipegcn_backward(int l);
+  /// Submit layer l's deferred forward exchange (boundary rows of
+  /// acts_[l]); it stays in flight across the iteration boundary.
+  void submit_pipegcn_forward(int l);
+  /// PipeGCN's backward exchange point of layer l: join last epoch's
+  /// in-flight exchange, fold its arrivals into grads' owned rows, stage
+  /// this epoch's halo-row gradients and submit them. Returns the joined
+  /// exchange's comm seconds.
+  double pipegcn_backward_round(int l, std::vector<Matrix>& grads);
 
+  /// Account the exchange stats in stats_scratch_: total bytes, the
+  /// current epoch's metrics row, and (layer-0 forward) the pair matrix.
+  void account_exchange(int l, bool forward);
   /// Fold the halo-exchange stats just produced into the current epoch's
   /// metrics row (messages, wire bytes split by bit-width, per-pair
   /// volumes). No-op unless run() enabled capture. Purely observational:
   /// writes pre-allocated capture storage only.
   void capture_exchange_stats(const ExchangeStats& stats);
-  /// Same for the SANCUS serial broadcast loops, which bypass
-  /// AsyncExchange: every non-empty pair is one full-precision message of
-  /// pair_bytes[d][p] wire bytes (12-byte block header excluded from the
-  /// by-width attribution, like the AsyncExchange accounting).
-  void capture_sancus_pairs(
-      const std::vector<std::vector<std::size_t>>& pair_bytes);
-  /// Accumulate realized overlap between the fused AdaQP graph's exchange
-  /// stages and its central-compute stages (stage timestamps, no tracing)
+  /// Accumulate realized overlap between a layer graph's exchange stages
+  /// and the compute stages beside them (stage timestamps, no tracing)
   /// into the current epoch row. Direction picks fwd_overlap/bwd_overlap.
-  void capture_overlap(const pipeline::StageGraph& graph,
-                       const std::vector<int>& exchange_ids,
-                       const std::vector<int>& compute_ids, bool forward);
-  /// Feed one executed fused layer graph into the critical-path profiler
+  void capture_overlap(const LayerGraph& lg, bool forward);
+  /// Feed one executed layer graph into the critical-path profiler
   /// (obs/profile.h): every stage's name, timestamps and declared deps go
   /// into the pre-sized DAG scratch, the exchange split model comes from
   /// stats_scratch_, and the solved SegmentProfile lands in the profile
@@ -262,9 +300,6 @@ class DistTrainer {
   /// unless run() armed the profiler. Purely observational.
   void capture_profile_segment(const pipeline::StageGraph& graph, int layer,
                                bool forward);
-  /// Submit layer l's deferred forward exchange (stale boundary rows of
-  /// acts_[l]); it stays in flight across the iteration boundary.
-  void submit_pipegcn_forward(int l);
 
   double compute_seconds(int layer, bool backward, bool central_only,
                          int device) const;
@@ -275,9 +310,14 @@ class DistTrainer {
   const DistGraph& dist_;
   ClusterSpec cluster_;
   TrainOptions opts_;
+  Policy policy_;
 
   Rng master_rng_;
   std::vector<Rng> device_rngs_;
+  /// SANCUS's exchange streams. Its 32-bit broadcasts draw nothing, so the
+  /// exchange accounting derives its per-pair streams from this set and
+  /// leaves device_rngs_ to the layer compute alone.
+  std::vector<Rng> broadcast_rngs_;
   GnnModel model_;
   Adam adam_;
 
@@ -308,8 +348,8 @@ class DistTrainer {
   // stages: submitted after a layer's compute (forward) or at its backward
   // exchange point, joined lazily one epoch later. They capture the shared
   // fwd_plans_/bwd_plans_ entries, which stay the constructor's uniform
-  // 32-bit plans for this method (refresh_plans is AdaQP-only), so the
-  // referenced plan is stable while an exchange is in flight. Backward staging uses
+  // 32-bit plans for this method (Plans::kUniform32), so the referenced
+  // plan is stable while an exchange is in flight. Backward staging uses
   // persistent per-layer scratch matrices (halo rows: this epoch's outbound
   // contributions; owned rows: the arrivals accumulated by the in-flight
   // exchange, harvested at join).
@@ -322,7 +362,7 @@ class DistTrainer {
   // SANCUS state: snapshot of owned rows at last broadcast per layer input.
   std::vector<std::vector<Matrix>> sancus_last_bcast_;  ///< [layer][device]
   std::vector<std::vector<int>> sancus_staleness_;      ///< [layer][device]
-  std::vector<std::vector<bool>> sancus_bcast_now_;     ///< [layer][device]
+  std::vector<std::vector<char>> sancus_skip_;          ///< [layer][owner]
 
   int epoch_ = 0;
   bool async_pipeline_ = true;  ///< resolved from ADAQP_ASYNC at construction
@@ -341,8 +381,6 @@ class DistTrainer {
   std::vector<Param*> params_;   ///< cached model_.params() (stable set)
   std::size_t grad_bytes_ = 0;   ///< cached model_.grad_bytes()
   ExchangeStats stats_scratch_;  ///< reusable stats sink (main thread only)
-  EncodedBlock wire_block_;      ///< SANCUS serial wire staging
-  std::vector<float> wire_uniforms_;
   EpochAllocReport alloc_report_;
   obs::PhaseWall last_wall_;     ///< measured seconds of the last epoch
 
@@ -350,14 +388,8 @@ class DistTrainer {
   // run() sizes capture_ (epochs x devices) and reserves the interval
   // scratch before the first epoch when ADAQP_METRICS enables a report;
   // every per-epoch write below then lands in pre-allocated storage, so
-  // capture runs through steady-state epochs without allocating. The stage
-  // ids are recorded once, at fused-graph build time (warmup epoch): the
-  // graphs are persistent, so the ids stay valid for the whole run.
+  // capture runs through steady-state epochs without allocating.
   obs::RunCapture capture_;
-  std::vector<std::vector<int>> fused_fwd_exchange_ids_;  ///< [layer]
-  std::vector<std::vector<int>> fused_fwd_compute_ids_;
-  std::vector<std::vector<int>> fused_bwd_exchange_ids_;
-  std::vector<std::vector<int>> fused_bwd_compute_ids_;
   std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
   std::vector<obs::Interval> iv_compute_;
 
@@ -371,43 +403,22 @@ class DistTrainer {
   // the persistent backward stage graphs can capture these by reference.
   std::vector<std::vector<Matrix>> grad_flow_;    ///< [parity][device]
 
-  // Persistent per-(layer, device) backward sinks and temporaries of the
-  // phased (non-fused) backward path.
+  // Persistent per-(layer, device) backward parameter-gradient sinks (the
+  // full-row or central-row adjoint's; the split adds marginal-row ones)
+  // and temporaries.
   std::vector<std::vector<LayerGrads>> bwd_sinks_;
+  std::vector<std::vector<LayerGrads>> bwd_marginal_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;
 
-  // SANCUS pooled scratch (pointers into ws_), pre-warmed at construction
-  // so no key is first touched — and no capacity first grown — in a
-  // steady-state epoch.
+  // SANCUS pooled drift scratch (pointers into ws_), pre-warmed at
+  // construction so no key is first touched — and no capacity first grown
+  // — in a steady-state epoch.
   std::vector<std::vector<Matrix*>> sancus_snapshot_;   ///< [layer][device]
   std::vector<std::vector<Matrix*>> sancus_diff_;       ///< [layer][device]
-  std::vector<std::vector<std::vector<int>*>> sancus_bits_;
-  Matrix* sancus_tmp_ = nullptr;                ///< backward decode staging
-  std::vector<NodeId>* sancus_seq_ = nullptr;   ///< identity row list
-  std::vector<std::vector<std::size_t>> sancus_pair_bytes_;
-  // SANCUS wire identity: per-(layer, direction) transport channels claimed
-  // at construction plus their round counters (one round per broadcast
-  // sweep), forming the FrameTags of the serial broadcast path.
-  std::vector<std::uint32_t> sancus_fwd_chan_;
-  std::vector<std::uint32_t> sancus_bwd_chan_;
-  std::vector<std::uint32_t> sancus_fwd_round_;
-  std::vector<std::uint32_t> sancus_bwd_round_;
 
-  // Persistent synchronous exchanges, one per layer, built on first use.
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> sync_fwd_ex_;
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> sync_bwd_ex_;
-
-  // Persistent AdaQP fused stage graphs — built once during warmup,
-  // reset() + re-run every later epoch — and the per-layer accounting,
-  // sinks and temporaries their stages reference.
-  std::vector<std::unique_ptr<pipeline::StageGraph>> adaqp_fwd_graph_;
-  std::vector<pipeline::ExchangeAccounting> adaqp_fwd_acct_;
-  std::vector<std::unique_ptr<pipeline::StageGraph>> adaqp_bwd_graph_;
-  std::vector<pipeline::ExchangeAccounting> adaqp_bwd_acct_;
-  std::vector<std::vector<LayerGrads>> adaqp_marginal_sinks_;
-  std::vector<std::vector<LayerGrads>> adaqp_central_sinks_;
-  std::vector<std::vector<LayerBackwardScratch>> adaqp_bwd_scratch_;
-  std::vector<const void*> adaqp_bwd_bound_;  ///< grads vector bound at build
+  // The persistent per-layer graphs, [layer].
+  std::vector<LayerGraph> fwd_graphs_;
+  std::vector<LayerGraph> bwd_graphs_;
 
   // In-flight PipeGCN deferred exchanges, one slot per layer input; the
   // objects are persistent (multi-shot), the flags say whether a round is

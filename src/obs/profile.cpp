@@ -77,7 +77,10 @@ StageClass classify_stage(std::string_view name) {
     cls.category = kCatOther;
   } else if (name.find("/central") != std::string_view::npos) {
     cls.category = kCatCentral;
-  } else if (name.find("/marginal") != std::string_view::npos) {
+  } else if (name.find("/marginal") != std::string_view::npos ||
+             name.find("/full") != std::string_view::npos) {
+    // A full-row stage (no central/marginal split) waits on its inbound
+    // messages like marginal rows do: compute that never hides.
     cls.category = kCatMarginal;
   } else if (name.find("/fold") != std::string_view::npos) {
     cls.category = kCatFold;

@@ -72,6 +72,18 @@ struct ExchangeAccounting {
   std::uint32_t channel = 0;
   std::uint32_t round = 0;
 
+  /// Optional per-owner skip mask (SANCUS broadcast skipping), one byte per
+  /// device, read by the stages at run time: while skip[o] is non-zero,
+  /// every message carrying rows device o owns is skipped — forward
+  /// o -> p, backward d -> o. A skipped pair sends and receives nothing and
+  /// leaves its block empty (the owner-accumulate stage skips empty
+  /// blocks). The owner of the accounting rewrites the mask between rounds.
+  const std::vector<char>* skip = nullptr;
+
+  bool skips(int owner) const {
+    return skip != nullptr && (*skip)[static_cast<std::size_t>(owner)] != 0;
+  }
+
   void init(int n, std::vector<Rng>& device_rngs);
 
   /// Size the [sender][receiver] slot tables without deriving RNG streams

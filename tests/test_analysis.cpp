@@ -381,15 +381,12 @@ TEST_P(RealSchedulesRacecheckClean, AllThreadCountsAsyncOnAndOff) {
       EXPECT_EQ(RaceCheckRegistry::instance().total_findings(), 0u)
           << method_name(method) << " threads=" << threads
           << " async=" << async;
-      // The exchange wrappers and fused layer graphs are annotated in every
+      // Every method runs its layers as annotated stage graphs in every
       // mode; make sure the checker actually saw them rather than vacuously
-      // passing. SANCUS is the one method with no stage graphs at all — its
-      // broadcast-skipping exchange is deliberately serial (trainer.cpp).
-      if (method != Method::kSancus) {
-        EXPECT_GT(RaceCheckRegistry::instance().graphs_checked(), 0u)
-            << method_name(method) << " threads=" << threads
-            << " async=" << async;
-      }
+      // passing.
+      EXPECT_GT(RaceCheckRegistry::instance().graphs_checked(), 0u)
+          << method_name(method) << " threads=" << threads
+          << " async=" << async;
     }
   }
 }

@@ -549,6 +549,8 @@ TEST(ProfileTrainer, ProfileOffOmitsTheSectionButKeepsTheReport) {
 
 /// House invariant 1: the profiler is write-only from the training path —
 /// profiling on vs. off is bit-identical for every method x async x threads.
+/// Every method runs its layers as stage graphs, so a profiled run also has
+/// a segment for every executed (epoch, layer, direction).
 TEST(ProfileTrainer, ProfileOnRunsAreBitIdenticalToProfileOff) {
   Rng rng(34);
   const Dataset ds = make_dataset(profile_spec(), rng);
@@ -565,6 +567,17 @@ TEST(ProfileTrainer, ProfileOnRunsAreBitIdenticalToProfileOff) {
     obs::MetricsGuard metrics(path);
     obs::ProfileGuard profile(profiled);
     const RunResult result = trainer.run();
+    if (profiled) {
+      const obs::ProfileCapture& prof = trainer.run_capture().profile();
+      EXPECT_EQ(prof.captured_epochs(), 3) << method_name(method);
+      for (int e = 0; e < prof.captured_epochs(); ++e)
+        for (int l = 0; l < prof.layers(); ++l)
+          for (const bool forward : {true, false})
+            EXPECT_GT(prof.segment_at(e, l, forward).stages, 0)
+                << method_name(method) << " async=" << async
+                << " threads=" << threads << ": no profile segment for epoch "
+                << e << " layer " << l << (forward ? " forward" : " backward");
+    }
     std::vector<double> out;
     for (const EpochRecord& e : result.epochs) out.push_back(e.train_loss);
     return out;
