@@ -1,8 +1,8 @@
 // Shared helpers for the experiment-reproduction benches.
 //
 // Each bench binary regenerates one table or figure of the paper (see the
-// per-experiment index in DESIGN.md §5): it prints the same rows/series the
-// paper reports and writes a CSV under bench/out/ for plotting.
+// bench <-> paper map in docs/BENCHMARKS.md): it prints the same rows/series
+// the paper reports and writes a CSV under bench/out/ for plotting.
 #pragma once
 
 #include <algorithm>

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const std::string setting = "2M-2D";
   const int epochs = quick ? 3 : 6;
 
-  // Warm-up + sync reference wall time (phased execution, same numerics).
+  // Warm-up + sync reference wall time (serial graph runs, same numerics).
   RunResult sync_result;
   const double sync_wall = wall_run(ds, setting, epochs, false, &sync_result);
 

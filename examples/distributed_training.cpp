@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
     std::printf("finished %s\n", r.method.c_str());
   }
   std::printf("\n%s", table.to_string().c_str());
-  std::printf("\nTimes are simulated cluster seconds (see DESIGN.md); the\n"
-              "numerics are exact — every message passed through the real\n"
-              "quantization codec.\n");
+  std::printf("\nTimes are simulated cluster seconds (see docs/DESIGN.md);\n"
+              "the numerics are exact — every message passed through the\n"
+              "real quantization codec.\n");
   return 0;
 }

@@ -68,9 +68,9 @@ void copy_matrix_into(const Matrix& src, Matrix& dst) {
 
 // ---- Race-checker annotations (ADAQP_RACECHECK) ---------------------------
 //
-// The compute stages of the fused forward/backward graphs declare their row
-// intervals so the checker can prove the central/marginal split and the
-// exchange stages never touch the same bytes unordered. Lists are built only
+// The compute stages of the layer graphs declare their row intervals so the
+// checker can prove the central/marginal split and the exchange stages
+// never touch the same bytes unordered. Lists are built only
 // when the checker is enabled.
 
 using analysis::AccessList;
@@ -179,15 +179,17 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   fwd_ranges_.resize(num_layers_);
   bwd_ranges_.resize(num_layers_);
 
-  // The persistent layer graphs; each in-graph exchange gets its own wire
-  // channel, claimed in deterministic order so replicated ranks agree
-  // (src/transport/).
+  // The persistent layer graphs. Their exchanges share one wire channel,
+  // claimed in deterministic order so replicated ranks agree
+  // (src/transport/): layer graphs run one at a time, so a (round,
+  // direction, pair) tag is never in flight twice.
   fwd_graphs_.resize(num_layers_);
   bwd_graphs_.resize(num_layers_);
   if (!policy_.deferred) {
+    const std::uint32_t channel = transport::next_channel();
     for (int l = 0; l < num_layers_; ++l) {
-      fwd_graphs_[l].acct.channel = transport::next_channel();
-      if (l > 0) bwd_graphs_[l].acct.channel = transport::next_channel();
+      fwd_graphs_[l].acct.channel = channel;
+      bwd_graphs_[l].acct.channel = channel;
     }
   }
 

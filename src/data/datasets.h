@@ -1,8 +1,9 @@
 // Synthetic analogues of the paper's benchmark datasets.
 //
 // The real Reddit / Yelp / ogbn-products / AmazonProducts graphs are
-// multi-GB downloads; per DESIGN.md §2 each is replaced by a degree-corrected
-// SBM parameterized to preserve what the experiments actually exercise:
+// multi-GB downloads; each is replaced (docs/DESIGN.md, "Substitutes") by a
+// degree-corrected SBM parameterized to preserve what the experiments
+// actually exercise:
 //   * relative density ordering  (Reddit ≫ Amazon > products > Yelp),
 //   * heavy-tailed degrees       (drives skewed pairwise halo volumes, Fig 2),
 //   * task type                  (single-label: Reddit, products;

@@ -1,6 +1,7 @@
 // Synthetic graph generators.
 //
-// These supply the topology side of the dataset substitutes (DESIGN.md §2):
+// These supply the topology side of the dataset substitutes (docs/DESIGN.md,
+// "Substitutes"):
 // the paper's benchmark graphs are modeled by a degree-corrected stochastic
 // block model whose density, block structure, and degree skew are
 // parameterized per dataset in src/data. Simpler generators (ER, R-MAT,

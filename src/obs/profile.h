@@ -33,7 +33,8 @@
 // Stage classification is by name, using the repo's stage naming scheme
 // (pipeline/async_exchange.cpp, core/trainer.cpp): "fwd/dX->dY" fused
 // exchange stages, "bwd-enc/dX->dY" / "bwd-acc/dX" / "bwd-zero/dX" backward
-// wire stages, "L{l}/central|marginal/d{d}" compute stages, "L{l}b/fold".
+// wire stages, "L{l}/central|marginal|full/d{d}" compute stages (full-row
+// stages count as marginal), "L{l}b/fold".
 // Fused exchange stages cover encode+wire+decode inside one measured span;
 // their span is split across the three categories in proportion to the
 // cost model's quantize : comm : dequantize seconds for that layer-epoch
@@ -99,7 +100,7 @@ StageClass classify_stage(std::string_view name);
 // ---------------------------------------------------------------------------
 
 /// Upper bound on critical-path stage names remembered per segment (the
-/// fused layer graphs are far smaller; synthetic test DAGs too).
+/// layer graphs are far smaller; synthetic test DAGs too).
 inline constexpr int kMaxCpStages = 64;
 
 /// Critical-path profile of one executed StageGraph segment (one layer,

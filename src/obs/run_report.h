@@ -78,8 +78,8 @@ struct EpochRow {
   std::uint64_t messages = 0;  ///< non-empty pair blocks moved
   std::array<std::uint64_t, kNumWidths> wire_bytes{};  ///< header-less, by width
 
-  // Realized exchange||compute concurrency from stage timestamps
-  // (AdaQP fused layer graphs; zero for methods without them).
+  // Realized exchange||compute concurrency from stage timestamps of the
+  // layer graphs (exchange stages vs central-row stages and the fold).
   OverlapAccum fwd_overlap;
   OverlapAccum bwd_overlap;
 };
@@ -161,8 +161,7 @@ struct ReportMeta {
 
 inline constexpr std::string_view kReportSchema = "adaqp-metrics-v1";
 
-/// Write the report to cfg.path in cfg.format (JSON includes a full
-/// registry snapshot). Returns false if the file could not be opened.
+/// Write the JSON report (including a full registry snapshot) to cfg.path. Returns false if the file could not be opened.
 /// Allocates freely — shutdown path only.
 bool write_report(const RunCapture& capture, const ReportMeta& meta,
                   const ReportConfig& cfg);

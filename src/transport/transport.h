@@ -116,8 +116,8 @@ class Transport {
 };
 
 /// Process-wide monotonically increasing exchange-channel ordinal. Every
-/// AsyncExchange (and each SANCUS per-layer broadcast direction) claims one
-/// at construction; because construction order is deterministic, replicated
+/// AsyncExchange (and each DistTrainer, for its layer graphs' exchanges)
+/// claims one at construction; because construction order is deterministic, replicated
 /// ranks derive identical channel ids without negotiation.
 std::uint32_t next_channel();
 

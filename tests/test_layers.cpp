@@ -1,6 +1,6 @@
 // Analytic-vs-numerical gradient checks for every layer component and the
 // full model. These validate the hand-derived backward passes that replace
-// PyTorch autograd (DESIGN.md §2).
+// PyTorch autograd (docs/DESIGN.md, "Substitutes").
 #include <gtest/gtest.h>
 
 #include <cmath>

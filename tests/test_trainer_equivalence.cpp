@@ -1,4 +1,4 @@
-// The numerical-equivalence invariant (DESIGN.md §4): distributed training
+// The numerical-equivalence invariant (docs/DESIGN.md): distributed training
 // with full-precision (32-bit passthrough) messages must match single-device
 // full-graph training up to float summation-order noise, for any device
 // count and partitioner. This makes quantization the *only* stochasticity in
