@@ -59,6 +59,14 @@ double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
   return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
 }
 
+/// "<tag><index>" ("L1", "d0"): the layer and device parts of stage and
+/// race-checker labels.
+std::string indexed(const char* tag, int index) {
+  std::string label = tag;
+  label += std::to_string(index);
+  return label;
+}
+
 /// Copy `src` into `dst` reusing dst's capacity (Matrix copy-assignment
 /// would too, but this keeps the reshape explicit).
 void copy_matrix_into(const Matrix& src, Matrix& dst) {
@@ -408,7 +416,7 @@ void DistTrainer::build_forward_graph(int l) {
   LayerGraph& lg = fwd_graphs_[l];
   lg.graph = std::make_unique<pipeline::StageGraph>();
   pipeline::StageGraph& graph = *lg.graph;
-  const std::string prefix = "L" + std::to_string(l);
+  const std::string prefix = indexed("L", l);
   graph.set_label(prefix + "/forward");
   const bool exchange = !policy_.deferred;
   pipeline::PairStages pair;
@@ -430,7 +438,7 @@ void DistTrainer::build_forward_graph(int l) {
   };
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
-    const std::string dn = "d" + std::to_string(d);
+    const std::string dn = indexed("d", d);
     AccessList acc;
     if (analysis::racecheck_enabled()) {
       // Central rows aggregate only owned neighbors (layers.h), so their
@@ -479,7 +487,7 @@ void DistTrainer::build_forward_graph(int l) {
   }
   for (int d = 0; policy_.split && d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
-    const std::string dn = "d" + std::to_string(d);
+    const std::string dn = indexed("d", d);
     AccessList acc;
     if (analysis::racecheck_enabled()) {
       // Marginal rows aggregate halo neighbors too, so the read covers the
@@ -562,7 +570,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
   const GnnLayer& layer = model_.layer(l);
   std::vector<LayerGrads>& sinks = bwd_sinks_[l];
   std::vector<LayerGrads>& marginal_sinks = bwd_marginal_sinks_[l];
-  const std::string prefix = "L" + std::to_string(l) + "b";
+  const std::string prefix = indexed("L", l) + "b";
   graph.set_label(prefix + "/backward");
 
   std::vector<int> marginal(num_devices_, -1);
@@ -570,7 +578,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
   std::vector<int> trace(num_devices_, -1);
   for (int d = 0; split && d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
-    const std::string dn = "d" + std::to_string(d);
+    const std::string dn = indexed("d", d);
     // Marginal-row adjoint: produces every halo gradient row this device
     // will ship, unblocking its encode stages. Marginal and central share
     // the per-(layer, device) scratch — they are serialized per device.
@@ -603,7 +611,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
   }
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
-    const std::string dn = "d" + std::to_string(d);
+    const std::string dn = indexed("d", d);
     // Central-row adjoint (owned-row writes only — the compute that runs
     // while the halo-gradient exchange is on the wire), or the full-row
     // adjoint, which writes every local row.
@@ -644,7 +652,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
   }
   for (int d = 0; l > 0 && d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
-    const std::string dn = "d" + std::to_string(d);
+    const std::string dn = indexed("d", d);
     // Assigner range trace: needs the complete local adjoint but must
     // precede the exchange's mutations (owner accumulate, halo zero).
     AccessList acc;
@@ -681,7 +689,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
   if (analysis::racecheck_enabled()) {
     fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
     for (int d = 0; d < num_devices_; ++d) {
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed("d", d);
       if (split)
         fold_acc.push_back(analysis::read_of(&marginal_sinks[d],
                                              sizeof(marginal_sinks[d]),
