@@ -10,8 +10,8 @@
 // where β_g aggregates each member message's variance coefficient
 // β_k = (Σ_{v∈N_T(k)} α²_{k,v}) · D_k · (max h_k − min h_k)² / 6 (Theorem 3).
 //
-// Solver (GUROBI substitute, see docs/DESIGN.md): the ring schedule makes
-// rounds disjoint, so the problem decomposes per round. For a fixed straggler bound
+// Solver (GUROBI substitute, docs/DESIGN.md): the ring schedule makes rounds
+// disjoint, so the problem decomposes per round. For a fixed straggler bound
 // Z each pair solves an independent multiple-choice knapsack: minimize
 // variance subject to Σ Dsum_g·b_g ≤ (Z−γ_i)/θ_i. Because the variance
 // decrease per added bit-weight is strictly diminishing (0→ convex choice

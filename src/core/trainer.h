@@ -218,7 +218,7 @@ class DistTrainer {
   };
 
   void refresh_plans();
-  EpochBreakdown forward_pass(double& loss);
+  EpochBreakdown forward_pass(double& loss_out);
   EpochBreakdown backward_pass();
 
   /// Run fn(d) for every device as one task group on the runtime pool.

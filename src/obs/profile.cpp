@@ -432,9 +432,9 @@ EpochProfile ProfileCapture::epoch_rollup(int epoch) const {
   // (Σ category_s == cp_s), scheduling (segment makespan beyond its
   // critical path: queueing + worker wakeup), and serial glue (wall not
   // covered by any profiled segment: graph reset, loss, deferred-exchange
-  // joins, refresh work). Clamp residue flows between the two derived terms so the
-  // decomposition sums to the attributed wall exactly whenever timestamps
-  // are sane.
+  // joins, refresh work). Clamp residue flows between the two derived terms
+  // so the decomposition sums to the attributed wall exactly whenever
+  // timestamps are sane.
   out.scheduling_s = makespan_sum - out.cp_s;
   out.serial_s = (fwd + bwd) - makespan_sum;
   if (out.serial_s < 0.0) {

@@ -161,8 +161,9 @@ struct ReportMeta {
 
 inline constexpr std::string_view kReportSchema = "adaqp-metrics-v1";
 
-/// Write the JSON report (including a full registry snapshot) to cfg.path. Returns false if the file could not be opened.
-/// Allocates freely — shutdown path only.
+/// Write the JSON report (including a full registry snapshot) to cfg.path.
+/// Returns false if the file could not be opened. Allocates freely —
+/// shutdown path only.
 bool write_report(const RunCapture& capture, const ReportMeta& meta,
                   const ReportConfig& cfg);
 

@@ -117,8 +117,9 @@ class Transport {
 
 /// Process-wide monotonically increasing exchange-channel ordinal. Every
 /// AsyncExchange (and each DistTrainer, for its layer graphs' exchanges)
-/// claims one at construction; because construction order is deterministic, replicated
-/// ranks derive identical channel ids without negotiation.
+/// claims one at construction; because construction order is
+/// deterministic, replicated ranks derive identical channel ids without
+/// negotiation.
 std::uint32_t next_channel();
 
 /// The active transport: the innermost ScopedTransport override when one is
