@@ -44,21 +44,6 @@ void EpochBreakdown::accumulate(const EpochBreakdown& other) {
 
 namespace {
 
-/// Ring allreduce time for `bytes` of model gradients (numerics are already
-/// exact because devices share one weight/grad store).
-double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
-  const int n = cluster.num_devices();
-  if (n <= 1) return 0.0;
-  double worst_theta = 0.0, worst_gamma = 0.0;
-  for (int d = 0; d < n; ++d) {
-    const LinkParams l = cluster.link(d, (d + 1) % n);
-    worst_theta = std::max(worst_theta, l.theta);
-    worst_gamma = std::max(worst_gamma, l.gamma);
-  }
-  const double chunk = static_cast<double>(bytes) / n;
-  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
-}
-
 /// "<tag><index>" ("L1", "d0"): the layer and device parts of stage and
 /// race-checker labels.
 std::string indexed(const char* tag, int index) {
@@ -133,8 +118,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   for (int d = 0; d < num_devices_; ++d)
     device_rngs_.push_back(master_rng_.split());
 
-  features_ = scatter_to_devices(dataset_.features, dist_);
-
   // Per-device training rows, labels and targets.
   std::vector<std::uint8_t> is_train(dataset_.num_nodes(), 0);
   for (auto v : dataset_.train_nodes) is_train[v] = 1;
@@ -164,10 +147,11 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     }
   }
 
-  // Activation buffers and caches.
+  // Activation buffers and caches (evaluation sizes its own on first use).
   acts_.resize(num_layers_ + 1);
+  eval_acts_.resize(num_layers_ + 1);
   caches_.resize(num_layers_);
-  acts_[0] = features_;
+  acts_[0] = scatter_to_devices(dataset_.features, dist_);
   for (int l = 1; l <= num_layers_; ++l) {
     const std::size_t dim = model_.layer_out_dim(l - 1);
     acts_[l].reserve(num_devices_);
@@ -184,28 +168,25 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     fwd_plans_[l] = ExchangePlan::uniform_forward(dist_, 32);
     bwd_plans_[l] = ExchangePlan::uniform_backward(dist_, 32);
   }
+  eval_plan_ = ExchangePlan::uniform_forward(dist_, 32);
   fwd_ranges_.resize(num_layers_);
   bwd_ranges_.resize(num_layers_);
 
-  // The persistent layer graphs. Their exchanges share one wire channel,
-  // claimed in deterministic order so replicated ranks agree
-  // (src/transport/): layer graphs run one at a time, so a (round,
+  // The persistent layer graphs. Training and evaluation exchanges share
+  // one wire channel, claimed in deterministic order so replicated ranks
+  // agree (src/transport/): these graphs run one at a time, so a (round,
   // direction, pair) tag is never in flight twice.
   fwd_graphs_.resize(num_layers_);
   bwd_graphs_.resize(num_layers_);
-  if (!policy_.deferred) {
-    const std::uint32_t channel = transport::next_channel();
-    for (int l = 0; l < num_layers_; ++l) {
-      fwd_graphs_[l].acct.channel = channel;
-      bwd_graphs_[l].acct.channel = channel;
-    }
+  eval_graphs_.resize(num_layers_);
+  const std::uint32_t channel = transport::next_channel();
+  for (int l = 0; l < num_layers_; ++l) {
+    fwd_graphs_[l].acct.channel = channel;
+    bwd_graphs_[l].acct.channel = channel;
+    eval_graphs_[l].acct.channel = channel;
   }
 
   if (policy_.deferred) {
-    pipegcn_fwd_inflight_.resize(num_layers_);
-    pipegcn_bwd_inflight_.resize(num_layers_);
-    pipegcn_fwd_active_.assign(num_layers_, 0);
-    pipegcn_bwd_active_.assign(num_layers_, 0);
     pipegcn_bwd_scratch_.resize(num_layers_);
     pipegcn_joined_comm_.assign(num_layers_, 0.0);
     for (int l = 1; l < num_layers_; ++l) {
@@ -214,19 +195,36 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
         pipegcn_bwd_scratch_[l].emplace_back(dist_.devices[d].num_local(),
                                              dim);
     }
-    // Build every deferred exchange now (graph + warmed staging, no RNG
-    // draws, nothing launched): the forward slots' first deferred submit
-    // happens in epoch 1 — already steady state — and must not allocate.
+    // Build every deferred exchange graph now (stages + warmed staging, no
+    // RNG draws, nothing launched): the forward ones first launch in epoch
+    // 1 — already steady state — and must not allocate. Several are in
+    // flight at once, so each claims its own wire channel.
+    deferred_fwd_.resize(num_layers_);
+    deferred_bwd_.resize(num_layers_);
+    const auto build_deferred = [&](LayerGraph& lg, int l, bool forward,
+                                    std::vector<Matrix>& buffers,
+                                    const ExchangePlan& plan) {
+      lg.acct.channel = transport::next_channel();
+      // Sizes the accounting slots the stages' race-checker access lists
+      // point at, so it precedes the build.
+      lg.acct.warm(dist_, plan, forward, model_.layer_in_dim(l));
+      lg.graph = std::make_unique<pipeline::StageGraph>();
+      lg.graph->set_label(indexed("L", l) + (forward ? "" : "b") +
+                          "/deferred");
+      if (forward)
+        pipeline::add_forward_exchange_stages(*lg.graph, dist_, buffers, plan,
+                                              lg.acct);
+      else
+        pipeline::add_backward_exchange_stages(*lg.graph, dist_, buffers,
+                                               plan, lg.acct);
+      lg.graph->prewarm();
+    };
     for (int l = 0; l < num_layers_; ++l) {
-      pipegcn_fwd_inflight_[l] =
-          std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-      pipegcn_fwd_inflight_[l]->prepare_forward(acts_[l], fwd_plans_[l]);
-      if (l > 0) {
-        pipegcn_bwd_inflight_[l] =
-            std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-        pipegcn_bwd_inflight_[l]->prepare_backward(pipegcn_bwd_scratch_[l],
-                                                   bwd_plans_[l]);
-      }
+      build_deferred(deferred_fwd_[l], l, /*forward=*/true, acts_[l],
+                     fwd_plans_[l]);
+      if (l > 0)
+        build_deferred(deferred_bwd_[l], l, /*forward=*/false,
+                       pipegcn_bwd_scratch_[l], bwd_plans_[l]);
     }
   }
 
@@ -365,8 +363,8 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
   // read — both must be joined before the trace below touches acts_[l].
   // Join time is stashed per slot and consumed by the slot's own layer.
   if (policy_.deferred && pipegcn_warm_) {
-    join_pipegcn_forward(l);
-    if (l + 1 < num_layers_) join_pipegcn_forward(l + 1);
+    join_deferred(l, /*forward=*/true);
+    if (l + 1 < num_layers_) join_deferred(l + 1, /*forward=*/true);
   }
   // Trace input ranges for the assigner before any halo row of this
   // layer's input is rewritten.
@@ -375,12 +373,10 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
   if (policy_.skip_stale) sancus_drift_step(l);
   if (policy_.deferred && !pipegcn_warm_) {
-    // Cold start (epoch 0): the deferred exchange's own object runs one
-    // synchronous full-precision round before compute.
-    pipegcn_fwd_inflight_[l]->submit_forward(acts_[l], fwd_plans_[l],
-                                             device_rngs_, async_pipeline_);
-    pipegcn_fwd_active_[l] = 1;
-    join_pipegcn_forward(l);
+    // Cold start (epoch 0): the deferred exchange graph runs one
+    // full-precision round before compute.
+    launch_deferred(deferred_fwd_[l]);
+    join_deferred(l, /*forward=*/true);
   }
 
   LayerGraph& lg = fwd_graphs_[l];
@@ -391,9 +387,8 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     lg.acct.init(num_devices_,
                  policy_.skip_stale ? broadcast_rngs_ : device_rngs_);
   if (!lg.graph)
-    build_forward_graph(l);
-  else
-    lg.graph->reset();
+    build_forward_graph(lg, l, acts_[l], acts_[l + 1], caches_[l],
+                        fwd_plans_[l], /*training=*/true);
   run_layer_graph(lg, l, /*forward=*/true, exchange);
 
   double comm = exchange ? stats_scratch_.comm_seconds : 0.0;
@@ -402,27 +397,32 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     pipegcn_joined_comm_[l] = 0.0;
     // Ship the (already-consumed) inputs so next epoch's halos are one
     // epoch stale; the stages stay in flight across the iteration boundary.
-    if (pipegcn_warm_) submit_pipegcn_forward(l);
+    if (pipegcn_warm_) launch_deferred(deferred_fwd_[l]);
   }
   return layer_time(l, /*backward=*/false, comm);
 }
 
-void DistTrainer::build_forward_graph(int l) {
+void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
+                                      std::vector<Matrix>& in,
+                                      std::vector<Matrix>& out,
+                                      std::vector<LayerCache>& caches,
+                                      const ExchangePlan& plan,
+                                      bool training) {
   // Stage bodies write disjoint rows and use private RNG streams, so every
-  // schedule of this graph is bit-identical. Built once (warmup epoch 0,
-  // uniform 32-bit plan = maximal payloads), re-armed in place forever
-  // after: the stage lambdas read fwd_plans_[l] (stable address) at run
+  // schedule of this graph is bit-identical. Built once (training: warmup
+  // epoch 0, uniform 32-bit plan = maximal payloads), re-armed in place
+  // forever after: the stage lambdas read `plan` (stable address) at run
   // time, so plan refreshes need no rebuild.
-  LayerGraph& lg = fwd_graphs_[l];
   lg.graph = std::make_unique<pipeline::StageGraph>();
   pipeline::StageGraph& graph = *lg.graph;
-  const std::string prefix = indexed("L", l);
+  const std::string prefix = indexed("L", l) + (training ? "" : "e");
   graph.set_label(prefix + "/forward");
-  const bool exchange = !policy_.deferred;
+  const bool split = training && policy_.split;
+  const bool exchange = !training || !policy_.deferred;
   pipeline::PairStages pair;
   if (exchange) {
-    pair = pipeline::add_forward_exchange_stages(graph, dist_, acts_[l],
-                                                 fwd_plans_[l], lg.acct);
+    pair = pipeline::add_forward_exchange_stages(graph, dist_, in, plan,
+                                                 lg.acct);
     for (const auto& row : pair.stage)
       for (const int id : row)
         if (id >= 0) lg.exchange_ids.push_back(id);
@@ -444,48 +444,46 @@ void DistTrainer::build_forward_graph(int l) {
       // Central rows aggregate only owned neighbors (layers.h), so their
       // read never touches the halo rows the exchange is decoding into;
       // full rows read everything, ordered behind the inbound decodes.
-      acc.push_back(rc_row_range(acts_[l][d], 0,
-                                 policy_.split ? dev.num_owned
-                                               : dev.num_local(),
+      acc.push_back(rc_row_range(in[d], 0,
+                                 split ? dev.num_owned : dev.num_local(),
                                  kRcRead, "x[" + dn + "].input_rows"));
-      if (policy_.split)
-        rc_rows(acc, acts_[l + 1][d], dev.central_span(), kRcWrite,
+      if (split)
+        rc_rows(acc, out[d], dev.central_span(), kRcWrite,
                 "h[" + dn + "].central_rows");
       else
-        acc.push_back(rc_row_range(acts_[l + 1][d], 0, dev.num_owned,
-                                   kRcWrite, "h[" + dn + "].owned_rows"));
-      acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
+        acc.push_back(rc_row_range(out[d], 0, dev.num_owned, kRcWrite,
+                                   "h[" + dn + "].owned_rows"));
+      acc.push_back(analysis::write_of(&caches[d], sizeof(caches[d]),
                                        "cache[" + dn + "]"));
       acc.push_back(analysis::write_of(&device_rngs_[d],
                                        sizeof(device_rngs_[d]),
                                        "rng[" + dn + "]"));
     }
-    if (policy_.split) {
+    if (split) {
       // Central rows are the compute meant to hide under the exchange: the
       // overlap report pairs them with the wire stages.
       lg.compute_ids.push_back(graph.add(
           prefix + "/central/" + dn,
-          [this, l, d] {
+          [this, &in, &out, &caches, l, d] {
             const DeviceGraph& device = dist_.devices[d];
             const GnnLayer& layer = model_.layer(l);
-            layer.forward_prepare(device, caches_[l][d], device_rngs_[d],
+            layer.forward_prepare(device, caches[d], device_rngs_[d],
                                   /*training=*/true);
-            layer.forward_rows(device, acts_[l][d], acts_[l + 1][d],
-                               caches_[l][d], device.central_span());
+            layer.forward_rows(device, in[d], out[d], caches[d],
+                               device.central_span());
           },
           {}, std::move(acc)));
     } else {
       graph.add(
           prefix + "/full/" + dn,
-          [this, l, d] {
-            model_.layer(l).forward(dist_.devices[d], acts_[l][d],
-                                    acts_[l + 1][d], caches_[l][d],
-                                    device_rngs_[d], /*training=*/true);
+          [this, &in, &out, &caches, l, d, training] {
+            model_.layer(l).forward(dist_.devices[d], in[d], out[d],
+                                    caches[d], device_rngs_[d], training);
           },
           after_inbound(d, -1), std::move(acc));
     }
   }
-  for (int d = 0; policy_.split && d < num_devices_; ++d) {
+  for (int d = 0; split && d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
     const std::string dn = indexed("d", d);
     AccessList acc;
@@ -493,27 +491,26 @@ void DistTrainer::build_forward_graph(int l) {
       // Marginal rows aggregate halo neighbors too, so the read covers the
       // whole local matrix — the deps on this device's inbound decodes are
       // exactly what orders it.
-      acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_local(), kRcRead,
+      acc.push_back(rc_row_range(in[d], 0, dev.num_local(), kRcRead,
                                  "x[" + dn + "].local_rows"));
-      rc_rows(acc, acts_[l + 1][d], dev.marginal_span(), kRcWrite,
+      rc_rows(acc, out[d], dev.marginal_span(), kRcWrite,
               "h[" + dn + "].marginal_rows");
-      acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
+      acc.push_back(analysis::write_of(&caches[d], sizeof(caches[d]),
                                        "cache[" + dn + "]"));
     }
     graph.add(
         prefix + "/marginal/" + dn,
-        [this, l, d] {
+        [this, &in, &out, &caches, l, d] {
           const DeviceGraph& device = dist_.devices[d];
-          model_.layer(l).forward_rows(device, acts_[l][d], acts_[l + 1][d],
-                                       caches_[l][d], device.marginal_span());
+          model_.layer(l).forward_rows(device, in[d], out[d], caches[d],
+                                       device.marginal_span());
         },
         after_inbound(d, lg.compute_ids[d]), std::move(acc));
   }
   // Warm the staging the 32-bit warmup rounds never touch: quantized
   // rounds draw per-column stochastic-rounding uniforms.
   if (exchange)
-    lg.acct.warm(dist_, fwd_plans_[l], /*forward=*/true,
-                 model_.layer_in_dim(l));
+    lg.acct.warm(dist_, plan, /*forward=*/true, model_.layer_in_dim(l));
 }
 
 EpochBreakdown DistTrainer::backward_layer(int l, std::vector<Matrix>& grads,
@@ -534,13 +531,11 @@ EpochBreakdown DistTrainer::backward_layer(int l, std::vector<Matrix>& grads,
   if (exchange)
     lg.acct.init(num_devices_,
                  policy_.skip_stale ? broadcast_rngs_ : device_rngs_);
-  if (!lg.graph) {
+  if (!lg.graph)
     build_backward_graph(l, grads, grad_x);
-  } else {
+  else
     ADAQP_CHECK_MSG(lg.bound == &grads,
                     "backward layer graph rebound to a different grad buffer");
-    lg.graph->reset();
-  }
   run_layer_graph(lg, l, /*forward=*/false, exchange);
 
   double comm = exchange ? stats_scratch_.comm_seconds : 0.0;
@@ -717,12 +712,31 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
                  model_.layer_in_dim(l));
 }
 
+void DistTrainer::launch_layer_graph(LayerGraph& lg) {
+  if (lg.graph->launched()) lg.graph->reset();
+  lg.in_flight = true;
+  lg.launch_us = obs::monotonic_us();
+  if (async_pipeline_) lg.graph->launch();
+}
+
+bool DistTrainer::join_layer_graph(LayerGraph& lg, bool exchange) {
+  if (!lg.in_flight) return false;
+  lg.in_flight = false;
+  if (async_pipeline_)
+    lg.graph->wait();
+  else
+    lg.graph->run_serial();
+  if (exchange)
+    pipeline::finalize_exchange_stats(lg.acct, dist_, cluster_,
+                                      stats_scratch_);
+  return true;
+}
+
 void DistTrainer::run_layer_graph(LayerGraph& lg, int l, bool forward,
                                   bool exchange) {
-  lg.graph->run(async_pipeline_);
+  launch_layer_graph(lg);
+  join_layer_graph(lg, exchange);
   if (exchange) {
-    pipeline::finalize_exchange_stats_into(lg.acct, dist_, cluster_,
-                                           stats_scratch_);
     if (policy_.skip_stale) {
       // Sequential broadcasts: every message pays its own link time (the
       // inefficiency the paper calls out in §5.1), not the ring
@@ -836,33 +850,27 @@ EpochBreakdown DistTrainer::backward_pass() {
   return total;
 }
 
-double DistTrainer::join_pipegcn_forward(int l) {
-  if (!pipegcn_fwd_active_[l]) return 0.0;
-  pipegcn_fwd_inflight_[l]->wait_into(stats_scratch_);
-  pipegcn_fwd_active_[l] = 0;
+void DistTrainer::launch_deferred(LayerGraph& lg) {
+  // fwd_plans_/bwd_plans_ are uniform 32-bit and never refreshed for
+  // PipeGCN, so the plan a deferred graph reads is stable for the whole time
+  // it stays in flight.
+  lg.acct.init(num_devices_, device_rngs_);
+  launch_layer_graph(lg);
+}
+
+double DistTrainer::join_deferred(int l, bool forward) {
+  LayerGraph& lg = forward ? deferred_fwd_[l] : deferred_bwd_[l];
+  if (!join_layer_graph(lg, /*exchange=*/true)) return 0.0;
+  // Launch->join latency covers the full in-flight window — across the
+  // iteration boundary, not just the blocked time inside the join.
+  obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
+                                                       lg.launch_us);
   // Deferred traffic lands in the epoch row of the epoch that *joins* it
-  // (one after the submit); the end-of-run drain past the last epoch only
+  // (one after the launch); the end-of-run drain past the last epoch only
   // feeds the global counters.
-  account_exchange(l, /*forward=*/true);
-  pipegcn_joined_comm_[l] += stats_scratch_.comm_seconds;
+  account_exchange(l, forward);
+  if (forward) pipegcn_joined_comm_[l] += stats_scratch_.comm_seconds;
   return stats_scratch_.comm_seconds;
-}
-
-double DistTrainer::join_pipegcn_backward(int l) {
-  if (!pipegcn_bwd_active_[l]) return 0.0;
-  pipegcn_bwd_inflight_[l]->wait_into(stats_scratch_);
-  pipegcn_bwd_active_[l] = 0;
-  account_exchange(l, /*forward=*/false);
-  return stats_scratch_.comm_seconds;
-}
-
-void DistTrainer::submit_pipegcn_forward(int l) {
-  // fwd_plans_[l] is uniform 32-bit and never refreshed for PipeGCN, so it
-  // is stable for the whole time this exchange stays in flight. The
-  // exchange object is persistent (built + warmed in the constructor).
-  pipegcn_fwd_inflight_[l]->submit_forward(acts_[l], fwd_plans_[l],
-                                           device_rngs_, async_pipeline_);
-  pipegcn_fwd_active_[l] = 1;
 }
 
 double DistTrainer::pipegcn_backward_round(int l,
@@ -874,8 +882,8 @@ double DistTrainer::pipegcn_backward_round(int l,
   // forward run. Last epoch's in-flight exchange is joined here — its
   // arrivals were accumulated into the scratch owned rows by the bwd-acc
   // stages.
-  const bool had_pending = pipegcn_bwd_active_[l] != 0;
-  const double comm = join_pipegcn_backward(l);
+  const bool had_pending = deferred_bwd_[l].in_flight;
+  const double comm = join_deferred(l, /*forward=*/false);
   std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
@@ -900,9 +908,7 @@ double DistTrainer::pipegcn_backward_round(int l,
       std::fill(row.begin(), row.end(), 0.0f);
     }
   }
-  pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
-                                            device_rngs_, async_pipeline_);
-  pipegcn_bwd_active_[l] = 1;
+  launch_deferred(deferred_bwd_[l]);
   return comm;
 }
 
@@ -1155,27 +1161,28 @@ EpochRecord DistTrainer::train_epoch() {
 }
 
 std::pair<double, double> DistTrainer::evaluate() {
-  // Full-precision inference over private buffers (leaves training state —
-  // notably PipeGCN's stale halos — untouched).
-  std::vector<Matrix> x = features_;
-  const auto plan32 = [&](int /*l*/) {
-    return ExchangePlan::uniform_forward(dist_, 32);
-  };
-  std::vector<LayerCache> scratch(num_devices_);
-  for (int l = 0; l < num_layers_; ++l) {
-    exchange_halo_forward(dist_, x, plan32(l), cluster_, device_rngs_);
-    std::vector<Matrix> next;
-    next.reserve(num_devices_);
-    for (int d = 0; d < num_devices_; ++d)
-      next.emplace_back(dist_.devices[d].num_local(), model_.layer_out_dim(l));
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], x[d], next[d], scratch[d],
-                              device_rngs_[d], /*training=*/false);
-    });
-    x = std::move(next);
+  // Full-precision inference through the same forward builder: per layer,
+  // derive the exchange's streams from the device streams, then run the
+  // layer's eval graph (built on first use). Its stats reach the global
+  // exchange.* counters only, never the trainer's traffic totals.
+  if (eval_acts_[0].empty()) {
+    eval_acts_[0] = scatter_to_devices(dataset_.features, dist_);
+    for (int l = 1; l <= num_layers_; ++l)
+      for (int d = 0; d < num_devices_; ++d)
+        eval_acts_[l].emplace_back(dist_.devices[d].num_local(),
+                                   model_.layer_out_dim(l - 1));
   }
-  const Matrix logits =
-      gather_from_devices(x, dist_, model_.config().out_dim);
+  for (int l = 0; l < num_layers_; ++l) {
+    LayerGraph& lg = eval_graphs_[l];
+    lg.acct.init(num_devices_, device_rngs_);
+    if (!lg.graph)
+      build_forward_graph(lg, l, eval_acts_[l], eval_acts_[l + 1],
+                          caches_[l], eval_plan_, /*training=*/false);
+    launch_layer_graph(lg);
+    join_layer_graph(lg, /*exchange=*/true);
+  }
+  const Matrix logits = gather_from_devices(eval_acts_[num_layers_], dist_,
+                                            model_.config().out_dim);
 
   auto metric = [&](const std::vector<std::uint32_t>& nodes) {
     if (!dataset_.spec.multi_label) {
@@ -1246,8 +1253,8 @@ RunResult DistTrainer::run() {
   if (policy_.deferred && !result.epochs.empty()) {
     EpochBreakdown tail;
     for (int l = 0; l < num_layers_; ++l) {
-      tail.comm += join_pipegcn_forward(l);
-      tail.comm += join_pipegcn_backward(l);
+      tail.comm += join_deferred(l, /*forward=*/true);
+      tail.comm += join_deferred(l, /*forward=*/false);
     }
     pipegcn_joined_comm_.assign(num_layers_, 0.0);
     if (tail.comm > 0.0) {

@@ -39,11 +39,13 @@
 // halo gradient rows, whose encode/wire stages then run concurrently with
 // the central-row adjoint and the shared parameter-gradient fold.
 // Without it, one full-row stage per device waits for its inbound messages.
-// PipeGCN's deferred exchanges stay in flight *across iteration
-// boundaries*: a layer's stale halo send/recv overlaps the rest of the
-// epoch and the next epoch's earlier layers, and is joined lazily just
-// before its buffers are reread or rewritten. ADAQP_ASYNC=0 runs the same
-// graphs serially in ascending stage-id order; both modes (and any thread
+// PipeGCN's deferred exchanges are exchange-only graphs that stay in flight
+// *across iteration boundaries*: a layer's stale halo send/recv overlaps the
+// rest of the epoch and the next epoch's earlier layers, and is joined
+// lazily just before its buffers are reread or rewritten. Evaluation runs
+// the same forward builder in the Vanilla shape with dropout off, over
+// private buffers. ADAQP_ASYNC=0 runs the same graphs serially in
+// ascending stage-id order; both modes (and any thread
 // count, and any ADAQP_ISA) are bit-identical, enforced by
 // tests/test_pipeline.cpp. Setting ADAQP_TRACE to a path makes run() record
 // a Chrome trace of the stages.
@@ -205,16 +207,22 @@ class DistTrainer {
     bool skip_stale = false;
   };
 
-  /// One persistent per-layer, per-direction stage graph: built in the
-  /// warmup epoch, reset() and re-run every later epoch, plus the exchange
+  /// One persistent per-layer stage graph — a training layer in one
+  /// direction, an evaluation layer, or a PipeGCN deferred exchange. One
+  /// lifecycle for all: build once, then per run acct.init (when it holds
+  /// an exchange), launch, join, finalize. Also holds the exchange
   /// accounting its stages write and the stage ids the overlap report
   /// reads (ids stay valid for the graph's lifetime).
   struct LayerGraph {
-    std::unique_ptr<pipeline::StageGraph> graph;
     pipeline::ExchangeAccounting acct;
+    /// Declared after acct, which its stages write: it is destroyed — and
+    /// a run still in flight joined — first.
+    std::unique_ptr<pipeline::StageGraph> graph;
     std::vector<int> exchange_ids;  ///< wire stages
     std::vector<int> compute_ids;   ///< compute running beside them
     const void* bound = nullptr;    ///< backward: grads vector bound at build
+    bool in_flight = false;         ///< launched, not yet joined
+    double launch_us = 0.0;         ///< obs::monotonic_us() at launch
   };
 
   void refresh_plans();
@@ -236,20 +244,32 @@ class DistTrainer {
   EpochBreakdown forward_layer(int l);
   EpochBreakdown backward_layer(int l, std::vector<Matrix>& grads,
                                 std::vector<Matrix>& grad_x);
-  /// Graph builders. Forward: per-pair exchange stages (unless deferred),
-  /// then per device either a central stage (concurrent with the
-  /// exchange) and a marginal stage gated on its inbound messages, or one
-  /// full-row stage gated on them. Backward: per device either marginal
-  /// then central row-subset adjoints or one full-row adjoint, a range
-  /// trace, the halo-gradient exchange (encodes after the halo rows are
-  /// final, owner accumulation after the owner's own writes and trace) and
-  /// one serial parameter-gradient fold in ascending device order.
-  void build_forward_graph(int l);
+  /// Graph builders. Forward (layer l, `in` -> `out`): per-pair exchange
+  /// stages (unless deferred), then per device either a central stage
+  /// (concurrent with the exchange) and a marginal stage gated on its
+  /// inbound messages, or one full-row stage gated on them. `training`
+  /// false is evaluation: the Vanilla shape (no split, exchange in the
+  /// graph) with dropout off, whatever the policy. Backward: per device
+  /// either marginal then central row-subset adjoints or one full-row
+  /// adjoint, a range trace, the halo-gradient exchange (encodes after the
+  /// halo rows are final, owner accumulation after the owner's own writes
+  /// and trace) and one serial parameter-gradient fold in ascending device
+  /// order.
+  void build_forward_graph(LayerGraph& lg, int l, std::vector<Matrix>& in,
+                           std::vector<Matrix>& out,
+                           std::vector<LayerCache>& caches,
+                           const ExchangePlan& plan, bool training);
   void build_backward_graph(int l, std::vector<Matrix>& grads,
                             std::vector<Matrix>& grad_x);
-  /// Run a built graph and, when it holds an exchange, finalize its stats
-  /// into stats_scratch_ and account them; then capture overlap and the
-  /// profile segment.
+  /// Launch half: re-arm a built graph and, in async mode, start it (the
+  /// serial schedule runs in the join).
+  void launch_layer_graph(LayerGraph& lg);
+  /// Join half: finish the run and, when the graph holds an exchange,
+  /// finalize its stats into stats_scratch_ (and the global exchange.*
+  /// counters). Returns false, doing nothing, when no run is in flight.
+  bool join_layer_graph(LayerGraph& lg, bool exchange);
+  /// A training layer graph's run: launch, join, account the exchange;
+  /// then capture overlap and the profile segment.
   void run_layer_graph(LayerGraph& lg, int l, bool forward, bool exchange);
   /// Modeled seconds of one layer in one direction (paper Fig. 10a): with
   /// the split, central compute hides inside comm and quantize kernels and
@@ -264,18 +284,19 @@ class DistTrainer {
   /// read (remote gradients to a skipped owner are dropped).
   void sancus_drift_step(int l);
 
-  /// Join the in-flight PipeGCN deferred exchange of layer input l (no-op
-  /// when none is pending); returns its modeled comm seconds and accounts
-  /// its wire bytes. Called lazily, right before the exchanged buffers are
-  /// reread or rewritten — one epoch after the submit.
-  double join_pipegcn_forward(int l);
-  double join_pipegcn_backward(int l);
-  /// Submit layer l's deferred forward exchange (boundary rows of
-  /// acts_[l]); it stays in flight across the iteration boundary.
-  void submit_pipegcn_forward(int l);
+  /// Derive a deferred exchange graph's per-pair streams from
+  /// device_rngs_ and launch it; it stays in flight across the iteration
+  /// boundary.
+  void launch_deferred(LayerGraph& lg);
+  /// Join layer l's in-flight deferred exchange in one direction (no-op
+  /// when none is pending); records its launch-to-join latency, accounts
+  /// its wire bytes and returns its modeled comm seconds. Called lazily,
+  /// right before the exchanged buffers are reread or rewritten — one
+  /// epoch after the launch.
+  double join_deferred(int l, bool forward);
   /// PipeGCN's backward exchange point of layer l: join last epoch's
   /// in-flight exchange, fold its arrivals into grads' owned rows, stage
-  /// this epoch's halo-row gradients and submit them. Returns the joined
+  /// this epoch's halo-row gradients and launch them. Returns the joined
   /// exchange's comm seconds.
   double pipegcn_backward_round(int l, std::vector<Matrix>& grads);
 
@@ -325,7 +346,6 @@ class DistTrainer {
   int num_layers_ = 0;
 
   // Per-device static data.
-  std::vector<Matrix> features_;                 ///< local features (with halo)
   std::vector<std::vector<std::uint32_t>> train_rows_;   ///< local owned ids
   std::vector<std::vector<std::int32_t>> train_labels_;
   std::vector<Matrix> train_targets_;            ///< multi-label targets
@@ -336,6 +356,14 @@ class DistTrainer {
   std::vector<std::vector<Matrix>> acts_;
   std::vector<std::vector<LayerCache>> caches_;  ///< [layer][device]
 
+  // Evaluation's private activations, sized on the first evaluate() (same
+  // layout as acts_, so training state — notably PipeGCN's stale halos —
+  // stays untouched), and the full-precision plan every eval layer uses.
+  // Evaluation borrows caches_: they carry values only from a training
+  // forward to its backward, and evaluation runs between training steps.
+  std::vector<std::vector<Matrix>> eval_acts_;
+  ExchangePlan eval_plan_;
+
   // Exchange plans per layer (forward) and per layer (backward).
   std::vector<ExchangePlan> fwd_plans_;
   std::vector<ExchangePlan> bwd_plans_;
@@ -345,7 +373,7 @@ class DistTrainer {
   std::vector<std::vector<std::vector<float>>> bwd_ranges_;
 
   // PipeGCN state. The deferred exchanges are cross-iteration pipeline
-  // stages: submitted after a layer's compute (forward) or at its backward
+  // stages: launched after a layer's compute (forward) or at its backward
   // exchange point, joined lazily one epoch later. They capture the shared
   // fwd_plans_/bwd_plans_ entries, which stay the constructor's uniform
   // 32-bit plans for this method (Plans::kUniform32), so the referenced
@@ -416,18 +444,17 @@ class DistTrainer {
   std::vector<std::vector<Matrix*>> sancus_snapshot_;   ///< [layer][device]
   std::vector<std::vector<Matrix*>> sancus_diff_;       ///< [layer][device]
 
-  // The persistent per-layer graphs, [layer].
+  // The persistent per-layer graphs, [layer]: training forward/backward
+  // (one wire channel shared with evaluation's, claimed at construction),
+  // evaluation forward (built on the first evaluate()), and PipeGCN's
+  // exchange-only deferred graphs (one channel each, built at construction;
+  // deferred_bwd_[0] stays empty). Declared last so they are destroyed — and
+  // an in-flight run joined — before the buffers their stages reference.
   std::vector<LayerGraph> fwd_graphs_;
   std::vector<LayerGraph> bwd_graphs_;
-
-  // In-flight PipeGCN deferred exchanges, one slot per layer input; the
-  // objects are persistent (multi-shot), the flags say whether a round is
-  // in flight. Declared last so they are destroyed (and therefore joined)
-  // before the activation / scratch / plan members their stages reference.
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> pipegcn_fwd_inflight_;
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> pipegcn_bwd_inflight_;
-  std::vector<char> pipegcn_fwd_active_;
-  std::vector<char> pipegcn_bwd_active_;
+  std::vector<LayerGraph> eval_graphs_;
+  std::vector<LayerGraph> deferred_fwd_;
+  std::vector<LayerGraph> deferred_bwd_;
 };
 
 /// Convenience wrapper: partition + build + train one (dataset, model,

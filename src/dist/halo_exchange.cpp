@@ -7,6 +7,7 @@
 #include "pipeline/async_exchange.h"
 #include "quant/quantize.h"
 #include "runtime/thread_pool.h"
+#include "transport/transport.h"
 
 namespace adaqp {
 
@@ -30,13 +31,32 @@ ExchangePlan make_uniform_plan(const DistGraph& dist, int bit_width,
   return plan;
 }
 
-/// The synchronous entry points execute the same per-pair stages as the
-/// async API. With more than one pool thread the stages run concurrently
-/// (the caller helps drain them, so this is the PR-2-style parallel
-/// exchange); from inside a pool task or on a 1-thread pool the serial
+/// One exchange as a one-shot stage graph on a fresh wire channel. With
+/// more than one pool thread the stages run concurrently (the caller helps
+/// drain them); from inside a pool task or on a 1-thread pool the serial
 /// reference schedule runs inline. Numerics are identical either way.
-bool parallel_exchange_ok() {
-  return !ThreadPool::in_worker() && num_threads() > 1;
+ExchangeStats run_exchange(const DistGraph& dist, std::vector<Matrix>& buffers,
+                           const ExchangePlan& plan,
+                           const ClusterSpec& cluster, std::vector<Rng>& rngs,
+                           bool forward) {
+  const int n = dist.num_devices();
+  ADAQP_CHECK(cluster.num_devices() == n);
+  ADAQP_CHECK(static_cast<int>(rngs.size()) == n);
+  pipeline::ExchangeAccounting acct;
+  acct.channel = transport::next_channel();
+  acct.init(n, rngs);
+  pipeline::StageGraph graph;
+  if (forward) {
+    graph.set_label("halo-exchange/forward");
+    pipeline::add_forward_exchange_stages(graph, dist, buffers, plan, acct);
+  } else {
+    graph.set_label("halo-exchange/backward");
+    pipeline::add_backward_exchange_stages(graph, dist, buffers, plan, acct);
+  }
+  graph.run(!ThreadPool::in_worker() && num_threads() > 1);
+  ExchangeStats stats;
+  pipeline::finalize_exchange_stats(acct, dist, cluster, stats);
+  return stats;
 }
 
 }  // namespace
@@ -76,9 +96,7 @@ ExchangeStats exchange_halo_forward(const DistGraph& dist,
                                     const ExchangePlan& plan,
                                     const ClusterSpec& cluster,
                                     std::vector<Rng>& rngs) {
-  pipeline::AsyncExchange exchange(dist, cluster);
-  exchange.submit_forward(locals, plan, rngs, parallel_exchange_ok());
-  return exchange.wait();
+  return run_exchange(dist, locals, plan, cluster, rngs, /*forward=*/true);
 }
 
 ExchangeStats exchange_halo_backward(const DistGraph& dist,
@@ -86,9 +104,20 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      const ExchangePlan& plan,
                                      const ClusterSpec& cluster,
                                      std::vector<Rng>& rngs) {
-  pipeline::AsyncExchange exchange(dist, cluster);
-  exchange.submit_backward(grads, plan, rngs, parallel_exchange_ok());
-  return exchange.wait();
+  return run_exchange(dist, grads, plan, cluster, rngs, /*forward=*/false);
+}
+
+double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
+  const int n = cluster.num_devices();
+  if (n <= 1) return 0.0;
+  double worst_theta = 0.0, worst_gamma = 0.0;
+  for (int d = 0; d < n; ++d) {
+    const LinkParams l = cluster.link(d, (d + 1) % n);
+    worst_theta = std::max(worst_theta, l.theta);
+    worst_gamma = std::max(worst_gamma, l.gamma);
+  }
+  const double chunk = static_cast<double>(bytes) / n;
+  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
 }
 
 double allreduce_sum(std::vector<Matrix>& per_device,
@@ -103,18 +132,7 @@ double allreduce_sum(std::vector<Matrix>& per_device,
     sum.add_inplace(per_device[d]);
   }
   for (auto& m : per_device) m = sum;
-
-  // Ring allreduce: 2(n-1) rounds of bytes/n chunks, straggler-paced by the
-  // slowest ring link.
-  const std::size_t bytes = sum.size() * sizeof(float);
-  double worst_theta = 0.0, worst_gamma = 0.0;
-  for (int d = 0; d < n; ++d) {
-    const LinkParams l = cluster.link(d, (d + 1) % n);
-    worst_theta = std::max(worst_theta, l.theta);
-    worst_gamma = std::max(worst_gamma, l.gamma);
-  }
-  const double chunk = static_cast<double>(bytes) / n;
-  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
+  return allreduce_seconds(cluster, sum.size() * sizeof(float));
 }
 
 }  // namespace adaqp

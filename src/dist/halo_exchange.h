@@ -9,14 +9,14 @@
 // what a physical cluster would compute, while *time* is accounted by the
 // ClusterSpec cost model under the paper's ring all2all schedule (Fig. 8).
 //
-// These synchronous entry points are thin submit-then-wait wrappers over
-// pipeline::AsyncExchange — there is exactly one exchange implementation in
-// the library. Callers that want the exchange in flight while they compute
-// use the split form directly: the trainer overlaps each AdaQP layer's
-// backward exchange with the central-row adjoint (gated per stage via
-// pipeline::BackwardStageDeps), and keeps PipeGCN's deferred exchanges in
-// flight across whole iteration boundaries. See
-// src/pipeline/async_exchange.h and docs/ARCHITECTURE.md.
+// These synchronous entry points run the per-pair exchange stages of
+// src/pipeline/async_exchange.h as a one-shot stage graph — there is exactly
+// one exchange implementation in the library. The trainer adds the same
+// stages to its persistent per-layer graphs instead, so they overlap
+// compute: each AdaQP layer's backward exchange runs beside the central-row
+// adjoint (gated per stage via pipeline::BackwardStageDeps), and PipeGCN's
+// deferred exchanges stay in flight across whole iteration boundaries. See
+// docs/ARCHITECTURE.md.
 #pragma once
 
 #include <array>
@@ -74,7 +74,7 @@ struct ExchangeStats {
 ///
 /// Both exchanges advance each rngs[d] by exactly one draw per call, from
 /// which private per-pair stochastic-rounding streams are derived — the
-/// mechanism that lets pipeline::AsyncExchange run messages concurrently
+/// mechanism that lets the trainer's layer graphs run messages concurrently
 /// with compute while staying bit-identical to this synchronous form (both
 /// are the same per-pair stages; see src/pipeline/async_exchange.h).
 ExchangeStats exchange_halo_forward(const DistGraph& dist,
@@ -93,9 +93,13 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      const ClusterSpec& cluster,
                                      std::vector<Rng>& rngs);
 
+/// Simulated ring-allreduce time for `bytes` per device: 2(n-1) rounds of
+/// bytes/n chunks, paced by the slowest ring link (0 for a single device).
+double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes);
+
 /// Ring allreduce over same-shaped per-device matrices: every matrix is
-/// replaced by the elementwise sum. Returns the simulated time (0 for a
-/// single device); numerics are exact (no quantization on model gradients).
+/// replaced by the elementwise sum. Returns allreduce_seconds() of one
+/// matrix; numerics are exact (no quantization on model gradients).
 double allreduce_sum(std::vector<Matrix>& per_device,
                      const ClusterSpec& cluster);
 

@@ -168,7 +168,7 @@ struct Instruments {
   /// Wire bytes by width tag (index = width_index(bits)); excludes the
   /// 12-byte block header, which is in pair-byte totals only.
   std::array<Counter*, kNumWidths> exchange_wire_bytes;
-  Histogram& exchange_submit_to_join_us;  ///< async submit() -> wait() latency
+  Histogram& exchange_submit_to_join_us;  ///< deferred launch->join latency
 
   Counter& pipeline_stages;           ///< stage-graph stages executed
   Counter& pool_tasks;                ///< batched pool tasks executed

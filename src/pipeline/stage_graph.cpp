@@ -52,6 +52,13 @@ void Event::wait() {
   }
 }
 
+StageGraph::~StageGraph() {
+  // Stage closures capture buffers by reference and pool tasks capture
+  // `this`: a launched run must finish before either dies. all_done_.wait()
+  // helps drain the pool and never throws, so stage errors are swallowed.
+  if (launched_ && async_mode_) all_done_.wait();
+}
+
 int StageGraph::add(std::string name, StageFn fn,
                     const std::vector<int>& deps) {
   return add(std::move(name), std::move(fn), deps, {});

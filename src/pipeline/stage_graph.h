@@ -41,9 +41,10 @@
 //      read their per-epoch inputs through stable references (members,
 //      pooled scratch), never captured copies of per-epoch values.
 //   5. wait() rethrows the first stage exception; dependents of a failed
-//      stage are poisoned (never run). The destructor does NOT join — the
-//      owner must wait() a launched graph before destroying it (see
-//      AsyncExchange for an owner that joins defensively).
+//      stage are poisoned (never run). The destructor joins a launched,
+//      unfinished run defensively and swallows its stage errors, so an
+//      in-flight graph can be dropped safely (e.g. when an exception
+//      unwinds its owner) — but only wait() reports what went wrong.
 #pragma once
 
 #include <condition_variable>
@@ -84,6 +85,7 @@ class StageGraph {
   using StageFn = std::function<void()>;
 
   StageGraph() = default;
+  ~StageGraph();
   StageGraph(const StageGraph&) = delete;
   StageGraph& operator=(const StageGraph&) = delete;
 
@@ -156,8 +158,8 @@ class StageGraph {
   /// One-time reservation of all schedule-dependent scratch (source staging,
   /// per-node ready lists). Runs automatically on the first launch() /
   /// run_serial(); owners that defer the first run into a later epoch
-  /// (AsyncExchange::prepare_*) call it at build time so the deferred run is
-  /// allocation-free.
+  /// (DistTrainer's PipeGCN deferred-exchange graphs) call it at build time
+  /// so the deferred run is allocation-free.
   void prewarm();
 
  private:

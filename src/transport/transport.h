@@ -115,11 +115,12 @@ class Transport {
   std::atomic<std::uint64_t> digest_{0};
 };
 
-/// Process-wide monotonically increasing exchange-channel ordinal. Every
-/// AsyncExchange (and each DistTrainer, for its layer graphs' exchanges)
-/// claims one at construction; because construction order is
-/// deterministic, replicated ranks derive identical channel ids without
-/// negotiation.
+/// Process-wide monotonically increasing exchange-channel ordinal. Each
+/// DistTrainer claims one at construction for its training and evaluation
+/// layer graphs (plus one per PipeGCN deferred-exchange graph), and every
+/// synchronous exchange_halo_forward/backward call claims one; because
+/// claim order is deterministic, replicated ranks derive identical channel
+/// ids without negotiation.
 std::uint32_t next_channel();
 
 /// The active transport: the innermost ScopedTransport override when one is

@@ -1,24 +1,26 @@
 // The pipeline subsystem's invariants: StageGraph executes a DAG correctly
-// under both the async scheduler and the serial reference schedule; the
-// submit()/wait() halo exchange is bit-identical to the synchronous one at
-// any thread count; a full DistTrainer::run() is bit-identical with the
-// async pipeline on and off for every method; ADAQP_ASYNC parsing is
-// strict; and the trace recorder emits loadable Chrome trace JSON.
+// under both the async scheduler and the serial reference schedule, and its
+// destructor joins a run still in flight; the halo exchange's concurrent
+// schedule is bit-identical to its serial one at any thread count; a full
+// DistTrainer::run() is bit-identical with the async pipeline on and off
+// for every method; ADAQP_ASYNC parsing is strict; and the trace recorder
+// emits loadable Chrome trace JSON.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/trainer.h"
 #include "dist/halo_exchange.h"
 #include "graph/generators.h"
-#include "pipeline/async_exchange.h"
 #include "pipeline/config.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
@@ -28,7 +30,6 @@
 namespace adaqp {
 namespace {
 
-using pipeline::AsyncExchange;
 using pipeline::AsyncModeGuard;
 using pipeline::StageGraph;
 
@@ -126,6 +127,65 @@ TEST(StageGraph, ExceptionPropagatesAndPoisonsDependents) {
   EXPECT_FALSE(dependent_ran.load());
 }
 
+// Destroying a launched graph without wait() must join it: every stage
+// finishes before the buffers its closure captures die. `hits` is declared
+// before the graph, so it outlives the destructor's join — and nothing
+// longer (ASan flags a stage that ran past it). The chain keeps later stages
+// unsubmitted when the destructor starts.
+TEST(StageGraphLifecycle, DestroyingALaunchedGraphJoinsSleepingStages) {
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    std::atomic<int> finished{0};
+    {
+      std::vector<int> hits(6, 0);
+      StageGraph g;
+      for (int i = 0; i < 6; ++i) {
+        std::vector<int> deps;
+        if (i >= 3) deps.push_back(i - 3);
+        g.add("sleep" + std::to_string(i),
+              [&hits, &finished, i] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                hits[i] = 1;
+                finished.fetch_add(1);
+              },
+              deps);
+      }
+      g.launch();
+    }
+    EXPECT_EQ(finished.load(), 6) << "threads " << threads;
+  }
+}
+
+// Same with a throwing stage: the destructor swallows the error instead of
+// hanging or propagating it. The failure poisons its dependent and every
+// stage not yet started; each stage that did start still runs to
+// completion before the captures die.
+TEST(StageGraphLifecycle, DestroyingALaunchedGraphWithAThrowingStage) {
+  ThreadCountGuard guard(4);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> dependent_ran{false};
+  {
+    std::vector<int> hits(4, 0);
+    StageGraph g;
+    const int boom = g.add("boom", [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      throw std::runtime_error("stage boom");
+    });
+    g.add("after", [&dependent_ran] { dependent_ran = true; }, {boom});
+    for (int i = 0; i < 4; ++i)
+      g.add("sleep" + std::to_string(i), [&hits, &started, &finished, i] {
+        started.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        hits[i] = 1;
+        finished.fetch_add(1);
+      });
+    g.launch();
+  }
+  EXPECT_FALSE(dependent_ran.load());
+  EXPECT_EQ(finished.load(), started.load());
+}
+
 TEST(StageGraph, DependencyMustPointBackwards) {
   StageGraph g;
   g.add("a", [] {});
@@ -164,7 +224,7 @@ TEST(AsyncConfig, OverrideWinsAndGuardRestores) {
   EXPECT_TRUE(pipeline::async_enabled());
 }
 
-// ---- Async exchange == sync exchange, bit for bit -------------------------
+// ---- Concurrent exchange == serial exchange, bit for bit -------------------
 
 struct ExchangeFixture {
   Graph g;
@@ -188,14 +248,14 @@ struct ExchangeFixture {
   }
 };
 
-class AsyncExchangeBitExact : public ::testing::TestWithParam<int> {};
+class HaloExchangeBitExact : public ::testing::TestWithParam<int> {};
 
-TEST_P(AsyncExchangeBitExact, ForwardSubmitWaitEqualsSynchronous) {
+TEST_P(HaloExchangeBitExact, ForwardAtAnyThreadCountEqualsSerial) {
   const int threads = GetParam();
   ExchangeFixture fx;
   const auto plan = ExchangePlan::uniform_forward(fx.dist, 4);
 
-  // Reference: synchronous exchange on a 1-thread pool.
+  // Reference: the serial schedule (1-thread pool).
   std::vector<Matrix> ref = scatter_to_devices(fx.global, fx.dist);
   ExchangeStats ref_stats;
   {
@@ -204,13 +264,13 @@ TEST_P(AsyncExchangeBitExact, ForwardSubmitWaitEqualsSynchronous) {
     ref_stats = exchange_halo_forward(fx.dist, ref, plan, fx.cluster, rngs);
   }
 
-  // Async submit/wait at the parameterized thread count.
+  // The same exchange at the parameterized thread count (concurrent stages
+  // from 4 threads on).
   ThreadCountGuard guard(threads);
   auto rngs = fx.fresh_rngs();
   std::vector<Matrix> locals = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_forward(locals, plan, rngs, /*async=*/true);
-  const ExchangeStats stats = exchange.wait();
+  const ExchangeStats stats =
+      exchange_halo_forward(fx.dist, locals, plan, fx.cluster, rngs);
 
   for (std::size_t d = 0; d < locals.size(); ++d)
     ASSERT_EQ(max_abs_diff(locals[d], ref[d]), 0.0f) << "device " << d;
@@ -220,7 +280,7 @@ TEST_P(AsyncExchangeBitExact, ForwardSubmitWaitEqualsSynchronous) {
   EXPECT_EQ(stats.dequant_seconds, ref_stats.dequant_seconds);
 }
 
-TEST_P(AsyncExchangeBitExact, BackwardSubmitWaitEqualsSynchronous) {
+TEST_P(HaloExchangeBitExact, BackwardAtAnyThreadCountEqualsSerial) {
   const int threads = GetParam();
   ExchangeFixture fx;
   const auto plan = ExchangePlan::uniform_backward(fx.dist, 8);
@@ -236,9 +296,8 @@ TEST_P(AsyncExchangeBitExact, BackwardSubmitWaitEqualsSynchronous) {
   ThreadCountGuard guard(threads);
   auto rngs = fx.fresh_rngs();
   std::vector<Matrix> grads = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_backward(grads, plan, rngs, /*async=*/true);
-  const ExchangeStats stats = exchange.wait();
+  const ExchangeStats stats =
+      exchange_halo_backward(fx.dist, grads, plan, fx.cluster, rngs);
 
   for (std::size_t d = 0; d < grads.size(); ++d)
     ASSERT_EQ(max_abs_diff(grads[d], ref[d]), 0.0f) << "device " << d;
@@ -246,29 +305,7 @@ TEST_P(AsyncExchangeBitExact, BackwardSubmitWaitEqualsSynchronous) {
   EXPECT_EQ(stats.comm_seconds, ref_stats.comm_seconds);
 }
 
-TEST_P(AsyncExchangeBitExact, PairHandlesFireBeforeWait) {
-  const int threads = GetParam();
-  ExchangeFixture fx;
-  const auto plan = ExchangePlan::uniform_forward(fx.dist, 2);
-  ThreadCountGuard guard(threads);
-  auto rngs = fx.fresh_rngs();
-  std::vector<Matrix> locals = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_forward(locals, plan, rngs, /*async=*/true);
-  // Per-pair completion handles are waitable independently of the join.
-  int pairs = 0;
-  for (int d = 0; d < fx.dist.num_devices(); ++d)
-    for (int p = 0; p < fx.dist.num_devices(); ++p)
-      if (pipeline::Event* ev = exchange.pair_done(d, p)) {
-        ev->wait();
-        EXPECT_TRUE(ev->done());
-        ++pairs;
-      }
-  EXPECT_GT(pairs, 0);
-  exchange.wait();
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, AsyncExchangeBitExact,
+INSTANTIATE_TEST_SUITE_P(Threads, HaloExchangeBitExact,
                          ::testing::Values(1, 4, 8));
 
 // ---- Full trainer: async pipeline on == off, bit for bit ------------------

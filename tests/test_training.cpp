@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/trainer.h"
+#include "transport/transport.h"
 
 namespace adaqp {
 namespace {
@@ -185,6 +186,39 @@ TEST(Trainer, PairBytesMatrixExposed) {
   for (const auto& row : bytes)
     for (std::size_t b : row) total += b;
   EXPECT_GT(total, 0u);
+}
+
+// evaluate() re-runs persistent per-layer graphs on the trainer's own wire
+// channel: repeated calls claim no new transport channel (each claim keeps
+// per-channel inbox slots alive under tcp), leave the trainer's traffic
+// totals alone and, with the weights unchanged, repeat their result.
+TEST(Trainer, EvaluateClaimsNoTransportChannelAfterItsFirstCall) {
+  Rng rng(11);
+  const Dataset ds = make_dataset(small_spec(), rng);
+  Rng prng(12);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, prng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  ModelConfig mc;
+  mc.aggregator = Aggregator::kGcn;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  for (const Method method : {Method::kVanilla, Method::kPipeGCN}) {
+    TrainOptions opts;
+    opts.method = method;
+    opts.epochs = 2;
+    opts.eval_every_epoch = false;
+    DistTrainer trainer(ds, dist, cluster, mc, opts);
+    trainer.train_epoch();
+    trainer.train_epoch();  // PipeGCN: deferred exchanges now in flight
+    const std::size_t bytes = trainer.total_comm_bytes();
+    const auto first = trainer.evaluate();
+    const std::uint32_t before = transport::next_channel();
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(trainer.evaluate(), first);
+    EXPECT_EQ(transport::next_channel(), before + 1) << method_name(method);
+    EXPECT_EQ(trainer.total_comm_bytes(), bytes) << method_name(method);
+  }
 }
 
 TEST(Trainer, MethodNames) {

@@ -458,7 +458,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Seeded delay / reorder / short-I/O schedules shuffle arrival, fragment
 // streams and stall stages — and must change nothing: tag-matched delivery
 // makes the faulted run bit-identical to the fault-free baseline. This is
-// also the regression pin for the two latent AsyncExchange assumptions
+// also the regression pin for the two latent exchange-stage assumptions
 // (submit-order delivery; decoding the sender's buffer address instead of
 // the delivered bytes): under reorder+split the decoded span is a
 // reassembled copy delivered out of submit order, so either regression
