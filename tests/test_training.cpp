@@ -421,5 +421,111 @@ TEST(GoldenTrajectory, EveryMethodAndModelIsBitIdenticalToThePinnedRun) {
   }
 }
 
+
+// Golden trajectories for the paths the table above does not reach, pinned
+// the same way: the multi-label BCE loss gradient and micro-F1 accuracy
+// (Vanilla and AdaQP), and SANCUS with a staleness cap of 2, so the forced
+// rebroadcast fires inside the window (the default cap of 12 never does).
+struct GoldenCase {
+  bool multi_label;
+  Method method;
+  int sancus_max_staleness;
+  std::array<double, kGoldenEpochs> train_loss;
+  std::array<double, kGoldenEpochs> time_total;
+  std::size_t total_comm_bytes;
+  double final_val_acc;
+  double final_test_acc;
+};
+
+const GoldenCase kGoldenCases[] = {
+    {true, Method::kVanilla, 12,
+     {0x1.3013fd2c4a1fdp+2, 0x1.1a29287e41306p+2, 0x1.0db0056ac8ba9p+2,
+      0x1.025c7a4e6ef2fp+2, 0x1.f168f201a0fp+1, 0x1.df12044106783p+1,
+      0x1.d0c663b6fea35p+1, 0x1.c5f69543f57a8p+1},
+     {0x1.a0d92fdad9c2ep-14, 0x1.a0d92fdad9c2ep-14, 0x1.a0d92fdad9c2ep-14,
+      0x1.a0d92fdad9c2ep-14, 0x1.a0d92fdad9c2ep-14, 0x1.a0d92fdad9c2ep-14,
+      0x1.a0d92fdad9c2ep-14, 0x1.a0d92fdad9c2ep-14},
+     2195760u, 0x1.ef99f6e3c20ccp-2, 0x1.073615a240e6cp-1},
+    {true, Method::kAdaQP, 12,
+     {0x1.3013fd2c4a1fdp+2, 0x1.1a396b6ee3c55p+2, 0x1.0da73650c4d37p+2,
+      0x1.0250a9a714c6ep+2, 0x1.f17ac1fb5a28bp+1, 0x1.df0927d06c4cap+1,
+      0x1.d0df0781c7decp+1, 0x1.c5f99ad3cb717p+1},
+     {0x1.9e0b7f763e061p-14, 0x1.44e09b10053e9p-14, 0x1.44e09b10053e9p-14,
+      0x1.44e09b10053e9p-14, 0x1.44e09b10053e9p-14, 0x1.44e09b10053e9p-14,
+      0x1.44e09b10053e9p-14, 0x1.44e09b10053e9p-14},
+     787780u, 0x1.edd80e865ac7bp-2, 0x1.039b0ad120736p-1},
+    {false, Method::kSancus, 2,
+     {0x1.084c800dbfbfcp+1, 0x1.ef46671ec8eacp+0, 0x1.b970e26b59814p+0,
+      0x1.9fe574c82a294p+0, 0x1.85edb49ce0469p+0, 0x1.633ef27efe924p+0,
+      0x1.4b3d51d4bfcfap+0, 0x1.3ed49ee1fb372p+0},
+     {0x1.e356c95ccd2cdp-13, 0x1.8d102cc990c5ep-13, 0x1.8d102cc990c5ep-13,
+      0x1.e356c95ccd2cdp-13, 0x1.8d102cc990c5ep-13, 0x1.8d102cc990c5ep-13,
+      0x1.e356c95ccd2cdp-13, 0x1.8d102cc990c5ep-13},
+     1921290u, 0x1.a666666666666p-1, 0x1.aeeeeeeeeeeefp-1},
+};
+
+RunResult golden_case_run(const GoldenCase& golden,
+                          int sancus_max_staleness) {
+  DatasetSpec spec;
+  spec.name = golden.multi_label ? "golden_multi" : "golden";
+  spec.num_nodes = 600;
+  spec.avg_degree = 10.0;
+  spec.feature_dim = 16;
+  spec.num_classes = 6;
+  spec.multi_label = golden.multi_label;
+  spec.intra_prob = 0.8;
+  Rng rng(15);
+  const Dataset ds = make_dataset(spec, rng);
+  Rng prng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, prng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  ModelConfig mc;
+  mc.aggregator = Aggregator::kGcn;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  mc.dropout = 0.3f;
+  TrainOptions opts;
+  opts.method = golden.method;
+  opts.epochs = kGoldenEpochs;
+  opts.seed = 23;
+  opts.reassign_period = 2;
+  opts.sancus_max_staleness = sancus_max_staleness;
+  DistTrainer trainer(ds, dist, ClusterSpec::machines(2, 2), mc, opts);
+  return trainer.run();
+}
+
+TEST(GoldenTrajectory,
+     MultiLabelAndSancusStalenessCapAreBitIdenticalToThePinnedRun) {
+  for (const GoldenCase& golden : kGoldenCases) {
+    const RunResult r = golden_case_run(golden, golden.sancus_max_staleness);
+    const std::string what = method_name(golden.method) +
+                             (golden.multi_label ? "/multi-label" : "/cap");
+    ASSERT_EQ(r.epochs.size(), static_cast<std::size_t>(kGoldenEpochs))
+        << what;
+    for (int e = 0; e < kGoldenEpochs; ++e) {
+      EXPECT_EQ(r.epochs[e].train_loss, golden.train_loss[e])
+          << what << " epoch " << e << " train_loss "
+          << hex(r.epochs[e].train_loss);
+      EXPECT_EQ(r.epochs[e].time.total, golden.time_total[e])
+          << what << " epoch " << e << " time.total "
+          << hex(r.epochs[e].time.total);
+    }
+    EXPECT_EQ(r.total_comm_bytes, golden.total_comm_bytes) << what;
+    EXPECT_EQ(r.final_val_acc, golden.final_val_acc)
+        << what << " final_val_acc " << hex(r.final_val_acc);
+    EXPECT_EQ(r.final_test_acc, golden.final_test_acc)
+        << what << " final_test_acc " << hex(r.final_test_acc);
+    if (golden.method == Method::kSancus) {
+      // The cap forces broadcasts the drift test alone would skip, so the
+      // capped run moves strictly more bytes than the default-cap run.
+      const RunResult uncapped =
+          golden_case_run(golden, TrainOptions{}.sancus_max_staleness);
+      EXPECT_GT(r.total_comm_bytes, uncapped.total_comm_bytes) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adaqp
