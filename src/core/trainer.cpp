@@ -52,13 +52,6 @@ std::string indexed(const char* tag, int index) {
   return label;
 }
 
-/// Copy `src` into `dst` reusing dst's capacity (Matrix copy-assignment
-/// would too, but this keeps the reshape explicit).
-void copy_matrix_into(const Matrix& src, Matrix& dst) {
-  dst.reshape_uninit(src.rows(), src.cols());
-  std::copy(src.data(), src.data() + src.size(), dst.data());
-}
-
 // ---- Race-checker annotations (ADAQP_RACECHECK) ---------------------------
 //
 // The compute stages of the layer graphs declare their row intervals so the
@@ -228,20 +221,14 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     }
   }
 
-  // ---- Memory subsystem: cache the stable param set and resolve every
-  // pool key the training loop will use on the main thread, pre-warming the
-  // capacities whose first natural use would otherwise fall in a
-  // steady-state epoch (docs/ARCHITECTURE.md, "Memory subsystem").
+  // ---- Memory subsystem: cache the stable param set and size the
+  // persistent scratch the training loop reuses every epoch
+  // (docs/ARCHITECTURE.md, "Memory subsystem").
   params_ = model_.params();
   grad_bytes_ = model_.grad_bytes();
 
-  loss_sink_.resize(num_devices_);
+  device_loss_.resize(num_devices_);
   loss_prob_.resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d) {
-    loss_sink_[d] = &ws_.matrix(memory::Scratch::kLossGradSink, 0, d);
-    loss_prob_[d] = &ws_.doubles(memory::Scratch::kLossProb, 0, d);
-  }
-
   grad_flow_.resize(2);
   for (auto& flow : grad_flow_) flow.resize(num_devices_);
   bwd_sinks_.resize(num_layers_);
@@ -266,27 +253,10 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     sancus_staleness_.assign(num_layers_,
                              std::vector<int>(num_devices_, 1 << 20));
     sancus_skip_.assign(num_layers_, std::vector<char>(num_devices_, 0));
-    // The drift test first touches its scratch in epoch 1 (there is no
-    // previous snapshot to diff against in epoch 0), so resolve and
-    // pre-size everything here instead.
-    sancus_snapshot_.resize(num_layers_);
-    sancus_diff_.resize(num_layers_);
     for (int l = 0; l < num_layers_; ++l) {
       sancus_last_bcast_[l].resize(num_devices_);
       fwd_graphs_[l].acct.skip = &sancus_skip_[l];
       bwd_graphs_[l].acct.skip = &sancus_skip_[l];
-      const std::size_t dim = model_.layer_in_dim(l);
-      sancus_snapshot_[l].resize(num_devices_);
-      sancus_diff_[l].resize(num_devices_);
-      for (int d = 0; d < num_devices_; ++d) {
-        const std::size_t boundary = dist_.devices[d].boundary_span().size();
-        Matrix& snap = ws_.matrix(memory::Scratch::kSancusSnapshot, l, d);
-        Matrix& diff = ws_.matrix(memory::Scratch::kSancusDiff, l, d);
-        snap.reshape_uninit(boundary, dim);
-        diff.reshape_uninit(boundary, dim);
-        sancus_snapshot_[l][d] = &snap;
-        sancus_diff_[l][d] = &diff;
-      }
     }
   }
 }
@@ -759,21 +729,23 @@ void DistTrainer::sancus_drift_step(int l) {
   // rows, so every owner's decision is independent of the others'.
   for (int d = 0; d < num_devices_; ++d) {
     const std::span<const NodeId> boundary = dist_.devices[d].boundary_span();
-    Matrix& snapshot = *sancus_snapshot_[l][d];
-    snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
-    for (std::size_t i = 0; i < boundary.size(); ++i) {
-      const auto src = acts_[l][d].row(boundary[i]);
-      std::copy(src.begin(), src.end(), snapshot.row(i).begin());
-    }
+    const Matrix& x = acts_[l][d];
     Matrix& last = sancus_last_bcast_[l][d];
     bool bcast = true;
     if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
-        last.same_shape(snapshot)) {
-      const double base = last.frobenius_norm();
-      Matrix& diff = *sancus_diff_[l][d];
-      copy_matrix_into(snapshot, diff);
-      diff.axpy_inplace(-1.0f, last);
-      const double drift = diff.frobenius_norm() / (base + 1e-12);
+        last.rows() == boundary.size() && last.cols() == x.cols()) {
+      // ||x[boundary] - last||_F summed like Matrix::frobenius_norm: float
+      // differences squared into a double, in row-major order.
+      double acc = 0.0;
+      for (std::size_t i = 0; i < boundary.size(); ++i) {
+        const auto cur = x.row(boundary[i]);
+        const auto prev = last.row(i);
+        for (std::size_t c = 0; c < cur.size(); ++c) {
+          const float v = cur[c] - prev[c];
+          acc += static_cast<double>(v) * v;
+        }
+      }
+      const double drift = std::sqrt(acc) / (last.frobenius_norm() + 1e-12);
       bcast = drift > opts_.sancus_drift_threshold;
     }
     sancus_skip_[l][d] = bcast ? 0 : 1;
@@ -782,9 +754,11 @@ void DistTrainer::sancus_drift_step(int l) {
       continue;
     }
     sancus_staleness_[l][d] = 0;
-    // Copy, not move: the snapshot is pooled scratch and must keep its
-    // buffer for the next epoch.
-    copy_matrix_into(snapshot, last);
+    last.reshape_uninit(boundary.size(), x.cols());
+    for (std::size_t i = 0; i < boundary.size(); ++i) {
+      const auto src = x.row(boundary[i]);
+      std::copy(src.begin(), src.end(), last.row(i).begin());
+    }
   }
 }
 
@@ -792,28 +766,26 @@ EpochBreakdown DistTrainer::forward_pass(double& loss_out) {
   EpochBreakdown total;
   for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
 
-  // Loss values only (gradients handled in backward_pass); per-device
-  // terms computed concurrently into epoch-arena scratch, reduced in
-  // ascending device order. The gradient sink is pooled per device and
-  // re-zeroed because the losses accumulate into it.
-  double* device_loss =
-      ws_.arena().span<double>(static_cast<std::size_t>(num_devices_));
+  // Loss and its gradient wrt the logits — one device task each (disjoint
+  // outputs). The gradient lands in grad_flow_[0], where backward_pass
+  // starts; reshape_zero, not uninit, because the losses accumulate into
+  // it. Loss terms are reduced in ascending device order.
   run_device_tasks([&](int d) {
-    Matrix& sink = *loss_sink_[d];
-    sink.reshape_zero(acts_[num_layers_][d].rows(),
-                      acts_[num_layers_][d].cols());
+    const Matrix& logits = acts_[num_layers_][d];
+    Matrix& grad = grad_flow_[0][d];
+    grad.reshape_zero(logits.rows(), logits.cols());
     if (!dataset_.spec.multi_label) {
-      device_loss[d] = softmax_cross_entropy(
-          acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-          global_train_count_, sink, *loss_prob_[d]);
+      device_loss_[d] = softmax_cross_entropy(
+          logits, train_rows_[d], train_labels_[d], global_train_count_, grad,
+          loss_prob_[d]);
     } else {
-      device_loss[d] =
-          bce_with_logits(acts_[num_layers_][d], train_rows_[d],
-                          train_targets_[d], global_train_count_, sink);
+      device_loss_[d] = bce_with_logits(logits, train_rows_[d],
+                                        train_targets_[d], global_train_count_,
+                                        grad);
     }
   });
   double loss = 0.0;
-  for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
+  for (int d = 0; d < num_devices_; ++d) loss += device_loss_[d];
   loss_out = loss / global_train_count_;
   return total;
 }
@@ -821,28 +793,13 @@ EpochBreakdown DistTrainer::forward_pass(double& loss_out) {
 EpochBreakdown DistTrainer::backward_pass() {
   EpochBreakdown total;
 
-  // Loss gradients wrt logits — one device task each (disjoint outputs).
-  // Gradients flow through the two persistent ping-pong buffer sets: at
+  // Gradients flow through the two persistent ping-pong buffer sets,
+  // starting from the logit gradient forward_pass left in grad_flow_[0]: at
   // layer l, the incoming grad lives in grad_flow_[(num_layers_-1-l) % 2]
   // and the input grad in the other — fixed per layer across epochs, which
   // is what lets the persistent stage graphs bind them once.
   std::vector<Matrix>* grads = &grad_flow_[0];
   std::vector<Matrix>* grad_x = &grad_flow_[1];
-  run_device_tasks([&](int d) {
-    Matrix& g = (*grads)[d];
-    // reshape_zero, not uninit: the losses accumulate into their sink.
-    g.reshape_zero(acts_[num_layers_][d].rows(),
-                   acts_[num_layers_][d].cols());
-    if (!dataset_.spec.multi_label) {
-      softmax_cross_entropy(acts_[num_layers_][d], train_rows_[d],
-                            train_labels_[d], global_train_count_, g,
-                            *loss_prob_[d]);
-    } else {
-      bce_with_logits(acts_[num_layers_][d], train_rows_[d], train_targets_[d],
-                      global_train_count_, g);
-    }
-  });
-
   for (int l = num_layers_ - 1; l >= 0; --l) {
     total.accumulate(backward_layer(l, *grads, *grad_x));
     std::swap(grads, grad_x);
@@ -1042,11 +999,6 @@ void DistTrainer::refresh_plans() {
 EpochRecord DistTrainer::train_epoch() {
   EpochRecord rec;
   rec.epoch = epoch_;
-
-  // Epoch-arena scratch from the previous epoch dies here; pooled and
-  // persistent buffers keep their capacity (the steady-state contract,
-  // docs/ARCHITECTURE.md "Memory subsystem").
-  ws_.arena().reset();
 
   // Wall-clock phase stamps (obs::Stopwatch clock) ride along with the
   // allocation samples: modeled seconds (rec.time) and measured seconds

@@ -65,7 +65,6 @@
 #include "dist/halo_exchange.h"
 #include "gnn/adam.h"
 #include "gnn/model.h"
-#include "memory/workspace.h"
 #include "obs/run_report.h"
 #include "pipeline/async_exchange.h"
 #include "runtime/parallel_for.h"
@@ -181,9 +180,6 @@ class DistTrainer {
   /// same phase boundaries as the allocation report — the counterpart to
   /// EpochRecord::time's *modeled* seconds (core/timing.h).
   const obs::PhaseWall& last_wall_report() const { return last_wall_; }
-
-  /// The trainer's scratch-memory subsystem (exposed for tests/benches).
-  const memory::Workspace& workspace() const { return ws_; }
 
   /// The metrics capture of the current/most recent run() (exposed for
   /// tests). Disabled unless ADAQP_METRICS (or an obs::MetricsGuard) was
@@ -387,7 +383,8 @@ class DistTrainer {
   /// slot's own layer consumes them (joins can happen one layer early).
   std::vector<double> pipegcn_joined_comm_;
 
-  // SANCUS state: snapshot of owned rows at last broadcast per layer input.
+  // SANCUS state: each owner's boundary rows at its last broadcast, per
+  // layer input.
   std::vector<std::vector<Matrix>> sancus_last_bcast_;  ///< [layer][device]
   std::vector<std::vector<int>> sancus_staleness_;      ///< [layer][device]
   std::vector<std::vector<char>> sancus_skip_;          ///< [layer][owner]
@@ -399,13 +396,8 @@ class DistTrainer {
   std::vector<std::vector<std::size_t>> last_layer1_pair_bytes_;
 
   // ---- Memory subsystem (zero-allocation steady state) --------------------
-  // The Workspace owns every pooled scratch buffer below; it is declared
-  // before anything that borrows from it so the borrowers' pointers die
-  // first. All pool keys are resolved on the main thread — at construction
-  // or during the warmup epoch — so steady-state epochs perform no pool
-  // inserts (rule 4 of the workspace ownership rules).
-  memory::Workspace ws_;
-
+  // Scratch is plain persistent members, sized at construction or in the
+  // warmup epoch, so steady-state epochs only reuse capacity.
   std::vector<Param*> params_;   ///< cached model_.params() (stable set)
   std::size_t grad_bytes_ = 0;   ///< cached model_.grad_bytes()
   ExchangeStats stats_scratch_;  ///< reusable stats sink (main thread only)
@@ -421,10 +413,9 @@ class DistTrainer {
   std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
   std::vector<obs::Interval> iv_compute_;
 
-  // Loss scratch, resolved from ws_ at construction (the pool is not
-  // thread-safe; device tasks only use the buffers they were handed).
-  std::vector<Matrix*> loss_sink_;                ///< per device
-  std::vector<std::vector<double>*> loss_prob_;   ///< per device
+  // Loss scratch: per-device loss terms and softmax probability rows.
+  std::vector<double> device_loss_;               ///< per device
+  std::vector<std::vector<double>> loss_prob_;    ///< per device
 
   // Backward activation-gradient ping-pong. The parity of the buffer that
   // holds layer l's incoming gradient is fixed ((num_layers-1-l) & 1), so
@@ -437,12 +428,6 @@ class DistTrainer {
   std::vector<std::vector<LayerGrads>> bwd_sinks_;
   std::vector<std::vector<LayerGrads>> bwd_marginal_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;
-
-  // SANCUS pooled drift scratch (pointers into ws_), pre-warmed at
-  // construction so no key is first touched — and no capacity first grown
-  // — in a steady-state epoch.
-  std::vector<std::vector<Matrix*>> sancus_snapshot_;   ///< [layer][device]
-  std::vector<std::vector<Matrix*>> sancus_diff_;       ///< [layer][device]
 
   // The persistent per-layer graphs, [layer]: training forward/backward
   // (one wire channel shared with evaluation's, claimed at construction),

@@ -39,7 +39,7 @@
 //      trainer builds each per-layer graph once (warmup) and re-runs it
 //      every epoch with zero heap allocation. Stage closures must therefore
 //      read their per-epoch inputs through stable references (members,
-//      pooled scratch), never captured copies of per-epoch values.
+//      persistent scratch), never captured copies of per-epoch values.
 //   5. wait() rethrows the first stage exception; dependents of a failed
 //      stage are poisoned (never run). The destructor joins a launched,
 //      unfinished run defensively and swallows its stage errors, so an

@@ -240,8 +240,9 @@ void lint_source_file(const fs::path& root, const fs::path& path) {
           has_token(code, "emplace_back") || has_token(code, "resize") ||
           has_token(code, "reserve") || has_token(code, "assign"))
         report(path, lineno, "hot-path-alloc",
-               "allocation/growth in a hot-path file — pool it (memory/"
-               "workspace.h) or annotate warmup-only lines with "
+               "allocation/growth in a hot-path file — make it a "
+               "persistent member sized at construction or in the warmup "
+               "epoch, or annotate warmup-only lines with "
                "lint:allow(hot-path-alloc)");
     }
 
