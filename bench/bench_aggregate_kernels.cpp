@@ -1,8 +1,8 @@
-// Microbenchmarks of the aggregation / error-feedback kernel-matrix entries
+// Microbenchmarks of the aggregation / fold kernel-matrix entries
 // (google-benchmark): scale_row (aggregation self-term), gather_axpy (the
 // CSR-band neighbor gather behind aggregate_forward and its adjoint), and
-// the ef_fold / ef_residual pair the error-feedback state machine runs per
-// boundary message. Swept over every SIMD ISA the host supports, selected
+// ef_fold, the elementwise add the backward owner-accumulate stage folds
+// each decoded halo-gradient row with. Swept over every SIMD ISA the host supports, selected
 // per benchmark with an IsaGuard exactly as ADAQP_ISA would. Tracks the
 // kernel-matrix speedup target: >= 2x scalar throughput on AVX2-capable
 // hardware (recorded into BENCH_runtime.json by scripts/bench.sh).
@@ -57,20 +57,6 @@ void BM_EfFold(benchmark::State& state, Isa isa, std::size_t n) {
                           sizeof(float));
 }
 
-void BM_EfResidual(benchmark::State& state, Isa isa, std::size_t n) {
-  IsaGuard guard(isa);
-  const auto kernel = simd::kernels().ef_residual;
-  const auto a = make_values(n, 24);
-  const auto b = make_values(n, 25);
-  std::vector<float> dst(n);
-  for (auto _ : state) {
-    kernel(a.data(), b.data(), dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          sizeof(float));
-}
-
 void BM_GatherAxpy(benchmark::State& state, Isa isa, std::size_t degree,
                    std::size_t dim) {
   IsaGuard guard(isa);
@@ -110,8 +96,6 @@ int main(int argc, char** argv) {
                                    BM_ScaleRow, isa, n);
       benchmark::RegisterBenchmark(("BM_EfFold/" + tag + sz).c_str(),
                                    BM_EfFold, isa, n);
-      benchmark::RegisterBenchmark(("BM_EfResidual/" + tag + sz).c_str(),
-                                   BM_EfResidual, isa, n);
     }
     for (std::size_t degree : {8ul, 32ul})
       for (std::size_t dim : {64ul, 256ul})

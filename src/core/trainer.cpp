@@ -250,6 +250,7 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     for (int d = 0; d < num_devices_; ++d)
       broadcast_rngs_.push_back(broadcast_seed.split());
     sancus_last_bcast_.resize(num_layers_);
+    sancus_last_norm_.assign(num_layers_, std::vector<double>(num_devices_));
     sancus_staleness_.assign(num_layers_,
                              std::vector<int>(num_devices_, 1 << 20));
     sancus_skip_.assign(num_layers_, std::vector<char>(num_devices_, 0));
@@ -390,13 +391,9 @@ void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
   const bool split = training && policy_.split;
   const bool exchange = !training || !policy_.deferred;
   pipeline::PairStages pair;
-  if (exchange) {
+  if (exchange)
     pair = pipeline::add_forward_exchange_stages(graph, dist_, in, plan,
                                                  lg.acct);
-    for (const auto& row : pair.stage)
-      for (const int id : row)
-        if (id >= 0) lg.exchange_ids.push_back(id);
-  }
   // Stage `first` (if any) plus every message decoding into d's halo rows.
   const auto after_inbound = [&](int d, int first) {
     std::vector<int> deps;
@@ -406,6 +403,7 @@ void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
         if (pair.stage[p][d] >= 0) deps.push_back(pair.stage[p][d]);
     return deps;
   };
+  std::vector<int> central(num_devices_, -1);
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
     const std::string dn = indexed("d", d);
@@ -432,7 +430,7 @@ void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
     if (split) {
       // Central rows are the compute meant to hide under the exchange: the
       // overlap report pairs them with the wire stages.
-      lg.compute_ids.push_back(graph.add(
+      central[d] = graph.add(
           prefix + "/central/" + dn,
           [this, &in, &out, &caches, l, d] {
             const DeviceGraph& device = dist_.devices[d];
@@ -442,15 +440,18 @@ void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
             layer.forward_rows(device, in[d], out[d], caches[d],
                                device.central_span());
           },
-          {}, std::move(acc)));
+          {}, std::move(acc), {.category = obs::kCatCentral});
     } else {
+      // Full rows wait on their inbound messages like marginal rows do:
+      // compute that never hides.
       graph.add(
           prefix + "/full/" + dn,
           [this, &in, &out, &caches, l, d, training] {
             model_.layer(l).forward(dist_.devices[d], in[d], out[d],
                                     caches[d], device_rngs_[d], training);
           },
-          after_inbound(d, -1), std::move(acc));
+          after_inbound(d, -1), std::move(acc),
+          {.category = obs::kCatMarginal});
     }
   }
   for (int d = 0; split && d < num_devices_; ++d) {
@@ -475,7 +476,8 @@ void DistTrainer::build_forward_graph(LayerGraph& lg, int l,
           model_.layer(l).forward_rows(device, in[d], out[d], caches[d],
                                        device.marginal_span());
         },
-        after_inbound(d, lg.compute_ids[d]), std::move(acc));
+        after_inbound(d, central[d]), std::move(acc),
+        {.category = obs::kCatMarginal});
   }
   // Warm the staging the 32-bit warmup rounds never touch: quantized
   // rounds draw per-column stochastic-rounding uniforms.
@@ -572,7 +574,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
                                         device.marginal_span(),
                                         bwd_scratch_[l][d]);
         },
-        {}, std::move(acc));
+        {}, std::move(acc), {.category = obs::kCatMarginal});
   }
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
@@ -603,7 +605,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
                                           device.central_span(),
                                           bwd_scratch_[l][d]);
           },
-          {marginal[d]}, std::move(acc));
+          {marginal[d]}, std::move(acc), {.category = obs::kCatCentral});
     } else {
       compute[d] = graph.add(
           prefix + "/full/" + dn,
@@ -612,7 +614,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
                                      caches_[l][d], grad_x[d], sinks[d],
                                      bwd_scratch_[l][d]);
           },
-          {}, std::move(acc));
+          {}, std::move(acc), {.category = obs::kCatMarginal});
     }
   }
   for (int d = 0; l > 0 && d < num_devices_; ++d) {
@@ -640,13 +642,8 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
     deps.encode = split ? marginal : compute;  // halo rows are complete
     deps.accumulate = trace;  // owner's own owned-row writes are complete
     deps.zero = trace;        // last halo-row reader is done
-    const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
-        graph, dist_, grad_x, bwd_plans_[l], lg.acct, deps);
-    for (const auto& row : wire.stage)
-      for (const int id : row)
-        if (id >= 0) lg.exchange_ids.push_back(id);
-    for (const int id : wire.owner_stage)
-      if (id >= 0) lg.exchange_ids.push_back(id);
+    pipeline::add_backward_exchange_stages(graph, dist_, grad_x,
+                                           bwd_plans_[l], lg.acct, deps);
   }
   // Shared parameter-gradient fold: one serial stage, concurrent with the
   // wire stages, in fixed device-then-subset order.
@@ -663,10 +660,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
                                            "sinks[" + dn + "]"));
     }
   }
-  // The compute running beside the wire stages: central adjoints (the
-  // full-row adjoint precedes its device's encodes) and the fold.
-  if (split) lg.compute_ids = compute;
-  lg.compute_ids.push_back(graph.add(
+  graph.add(
       prefix + "/fold",
       [this, &sinks, &marginal_sinks, split, l] {
         for (int d = 0; d < num_devices_; ++d) {
@@ -674,7 +668,7 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
           model_.layer(l).apply_grads(sinks[d]);
         }
       },
-      compute, std::move(fold_acc)));
+      compute, std::move(fold_acc), {.category = obs::kCatFold});
   // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
   // rounds never draw any) and the owner-side decode accumulators.
   if (exchange)
@@ -720,7 +714,6 @@ void DistTrainer::run_layer_graph(LayerGraph& lg, int l, bool forward,
     }
     account_exchange(l, forward);
   }
-  capture_overlap(lg, forward);
   capture_profile_segment(*lg.graph, l, forward);
 }
 
@@ -745,7 +738,7 @@ void DistTrainer::sancus_drift_step(int l) {
           acc += static_cast<double>(v) * v;
         }
       }
-      const double drift = std::sqrt(acc) / (last.frobenius_norm() + 1e-12);
+      const double drift = std::sqrt(acc) / (sancus_last_norm_[l][d] + 1e-12);
       bcast = drift > opts_.sancus_drift_threshold;
     }
     sancus_skip_[l][d] = bcast ? 0 : 1;
@@ -759,6 +752,7 @@ void DistTrainer::sancus_drift_step(int l) {
       const auto src = x.row(boundary[i]);
       std::copy(src.begin(), src.end(), last.row(i).begin());
     }
+    sancus_last_norm_[l][d] = last.frobenius_norm();
   }
 }
 
@@ -891,50 +885,40 @@ void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
     }
 }
 
-void DistTrainer::capture_overlap(const LayerGraph& lg, bool forward) {
-  obs::EpochRow* row = capture_.row(epoch_);
-  if (row == nullptr) return;
-  // Stage timestamps into the pre-reserved interval scratch; the interval
-  // math mutates in place and never grows beyond the reserved capacity.
-  const pipeline::StageGraph& graph = *lg.graph;
-  iv_exchange_.clear();
-  iv_compute_.clear();
-  for (const int id : lg.exchange_ids)
-    iv_exchange_.emplace_back(graph.stage_begin_us(id),
-                              graph.stage_end_us(id));
-  for (const int id : lg.compute_ids)
-    iv_compute_.emplace_back(graph.stage_begin_us(id),
-                             graph.stage_end_us(id));
-  obs::accumulate_overlap(iv_exchange_, iv_compute_,
-                          forward ? row->fwd_overlap : row->bwd_overlap);
-}
-
 void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
                                           int layer, bool forward) {
-  obs::ProfileCapture& prof = capture_.profile();
-  obs::SegmentProfile* seg = prof.segment(epoch_, layer, forward);
-  if (seg == nullptr) return;
-  // Rebuild the executed graph inside the pre-sized DAG scratch: names,
-  // timestamps and declared dependency edges, plus this layer-epoch's
+  obs::EpochRow* row = capture_.row(epoch_);
+  if (row == nullptr) return;
+  // Rebuild the executed graph inside the pre-sized DAG scratch: declared
+  // roles, timestamps and dependency edges, plus this layer-epoch's
   // modeled quantize : comm : dequantize split so the fused exchange
   // stages can be attributed across encode/wire/decode. stats_scratch_
   // holds exactly this segment's exchange stats (finalized just before).
-  obs::ProfileDag& dag = prof.dag();
+  obs::ProfileDag& dag = segment_dag_;
   dag.clear();
   dag.set_exchange_model(stats_scratch_.max_quant_seconds(),
                          stats_scratch_.comm_seconds,
                          stats_scratch_.max_dequant_seconds());
   const int n = static_cast<int>(graph.size());
-  for (int id = 0; id < n; ++id) {
-    const std::string& name = graph.stage_name(id);
-    dag.add_stage(&name, name, graph.stage_begin_us(id),
-                  graph.stage_end_us(id));
-  }
+  for (int id = 0; id < n; ++id)
+    dag.add_stage(&graph.stage_name(id), graph.stage_role(id),
+                  graph.stage_begin_us(id), graph.stage_end_us(id));
   for (int id = 0; id < n; ++id)
     for (const int dep : graph.stage_deps(id)) dag.add_dep(id, dep);
+  // The segment is solved on every metrics run — its overlap is the row's
+  // — and stored only when ADAQP_PROFILE armed the profile rows.
+  obs::ProfileCapture& prof = capture_.profile();
+  obs::SegmentProfile* stored = prof.segment(epoch_, layer, forward);
+  obs::SegmentProfile unstored;
+  obs::SegmentProfile* seg = stored != nullptr ? stored : &unstored;
   seg->layer = layer;
   seg->forward = forward;
   dag.compute(*seg, prof.pair_seconds(epoch_), num_devices_);
+  obs::OverlapAccum& overlap = forward ? row->fwd_overlap : row->bwd_overlap;
+  overlap.exchange_busy_s += seg->overlap.exchange_busy_s;
+  overlap.compute_busy_s += seg->overlap.compute_busy_s;
+  overlap.overlap_s += seg->overlap.overlap_s;
+  if (stored == nullptr) return;
 
   // With a trace active, draw the segment's critical path as flow arrows
   // between the recorded stage spans (trace-enabled epochs are outside the
@@ -1172,19 +1156,16 @@ RunResult DistTrainer::run() {
   const obs::ReportConfig metrics_cfg = obs::report_config();
   if (metrics_cfg.enabled) {
     capture_.init(opts_.epochs, num_devices_);
-    const std::size_t nd = static_cast<std::size_t>(num_devices_);
-    iv_exchange_.reserve(nd * nd + nd);   // pair stages + owner accumulates
-    iv_compute_.reserve(nd + 1);          // central stages + fold
-    // ADAQP_PROFILE (default on with metrics): critical-path profile rows
-    // plus the shared DAG scratch, sized for the largest layer graph
-    // — nd^2 pair stages, a handful of per-device stages, the fold — so
-    // per-epoch capture stays allocation-free.
-    if (obs::profile_enabled()) {
-      const int max_stages = static_cast<int>(nd * nd + 6 * nd + 8);
-      const int max_deps = max_stages * static_cast<int>(nd + 4);
-      capture_.profile().init(opts_.epochs, num_layers_, num_devices_,
-                              max_stages, max_deps);
-    }
+    // The DAG scratch every executed layer graph is solved in, sized for
+    // the largest one — nd^2 pair stages, a handful of per-device stages,
+    // the fold — so per-epoch capture stays allocation-free.
+    const int nd = num_devices_;
+    const int max_stages = nd * nd + 6 * nd + 8;
+    segment_dag_.reserve(max_stages, max_stages * (nd + 4));
+    // ADAQP_PROFILE (default on with metrics): store the solved segments
+    // for the report's profile section.
+    if (obs::profile_enabled())
+      capture_.profile().init(opts_.epochs, num_layers_, num_devices_);
   }
 
   for (int e = 0; e < opts_.epochs; ++e) {

@@ -207,15 +207,12 @@ class DistTrainer {
   /// direction, an evaluation layer, or a PipeGCN deferred exchange. One
   /// lifecycle for all: build once, then per run acct.init (when it holds
   /// an exchange), launch, join, finalize. Also holds the exchange
-  /// accounting its stages write and the stage ids the overlap report
-  /// reads (ids stay valid for the graph's lifetime).
+  /// accounting its stages write.
   struct LayerGraph {
     pipeline::ExchangeAccounting acct;
     /// Declared after acct, which its stages write: it is destroyed — and
     /// a run still in flight joined — first.
     std::unique_ptr<pipeline::StageGraph> graph;
-    std::vector<int> exchange_ids;  ///< wire stages
-    std::vector<int> compute_ids;   ///< compute running beside them
     const void* bound = nullptr;    ///< backward: grads vector bound at build
     bool in_flight = false;         ///< launched, not yet joined
     double launch_us = 0.0;         ///< obs::monotonic_us() at launch
@@ -265,7 +262,7 @@ class DistTrainer {
   /// counters). Returns false, doing nothing, when no run is in flight.
   bool join_layer_graph(LayerGraph& lg, bool exchange);
   /// A training layer graph's run: launch, join, account the exchange;
-  /// then capture overlap and the profile segment.
+  /// then capture its segment (overlap and profile).
   void run_layer_graph(LayerGraph& lg, int l, bool forward, bool exchange);
   /// Modeled seconds of one layer in one direction (paper Fig. 10a): with
   /// the split, central compute hides inside comm and quantize kernels and
@@ -304,17 +301,15 @@ class DistTrainer {
   /// volumes). No-op unless run() enabled capture. Purely observational:
   /// writes pre-allocated capture storage only.
   void capture_exchange_stats(const ExchangeStats& stats);
-  /// Accumulate realized overlap between a layer graph's exchange stages
-  /// and the compute stages beside them (stage timestamps, no tracing)
-  /// into the current epoch row. Direction picks fwd_overlap/bwd_overlap.
-  void capture_overlap(const LayerGraph& lg, bool forward);
-  /// Feed one executed layer graph into the critical-path profiler
-  /// (obs/profile.h): every stage's name, timestamps and declared deps go
-  /// into the pre-sized DAG scratch, the exchange split model comes from
-  /// stats_scratch_, and the solved SegmentProfile lands in the profile
-  /// rows of the current epoch. With ADAQP_TRACE active it also emits
-  /// Chrome-trace flow arrows along the segment's critical path. No-op
-  /// unless run() armed the profiler. Purely observational.
+  /// Solve one executed layer graph in the critical-path profiler
+  /// (obs/profile.h): every stage's declared role, timestamps and deps go
+  /// into the pre-sized DAG scratch, and the exchange split model comes
+  /// from stats_scratch_. The segment's realized overlap is added into the
+  /// current epoch row (direction picks fwd_overlap/bwd_overlap); with
+  /// ADAQP_PROFILE on, the solved SegmentProfile is also stored in the
+  /// profile rows and, with ADAQP_TRACE active, its critical path is drawn
+  /// as Chrome-trace flow arrows. No-op unless run() enabled metrics
+  /// capture. Purely observational.
   void capture_profile_segment(const pipeline::StageGraph& graph, int layer,
                                bool forward);
 
@@ -384,8 +379,10 @@ class DistTrainer {
   std::vector<double> pipegcn_joined_comm_;
 
   // SANCUS state: each owner's boundary rows at its last broadcast, per
-  // layer input.
+  // layer input, and their Frobenius norm (the drift test's denominator,
+  // computed once per broadcast).
   std::vector<std::vector<Matrix>> sancus_last_bcast_;  ///< [layer][device]
+  std::vector<std::vector<double>> sancus_last_norm_;   ///< [layer][device]
   std::vector<std::vector<int>> sancus_staleness_;      ///< [layer][device]
   std::vector<std::vector<char>> sancus_skip_;          ///< [layer][owner]
 
@@ -405,13 +402,12 @@ class DistTrainer {
   obs::PhaseWall last_wall_;     ///< measured seconds of the last epoch
 
   // ---- Observability capture (src/obs/, docs/OBSERVABILITY.md) ------------
-  // run() sizes capture_ (epochs x devices) and reserves the interval
-  // scratch before the first epoch when ADAQP_METRICS enables a report;
-  // every per-epoch write below then lands in pre-allocated storage, so
-  // capture runs through steady-state epochs without allocating.
+  // run() sizes capture_ (epochs x devices) and reserves the DAG scratch
+  // before the first epoch when ADAQP_METRICS enables a report; every
+  // per-epoch write below then lands in pre-allocated storage, so capture
+  // runs through steady-state epochs without allocating.
   obs::RunCapture capture_;
-  std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
-  std::vector<obs::Interval> iv_compute_;
+  obs::ProfileDag segment_dag_;  ///< every captured layer graph is solved here
 
   // Loss scratch: per-device loss terms and softmax probability rows.
   std::vector<double> device_loss_;               ///< per device

@@ -36,10 +36,6 @@ void GnnModel::zero_grad() {
   for (auto& layer : layers_) layer.zero_grad();
 }
 
-void GnnModel::scale_grads(float s) {
-  for (Param* p : params()) p->grad.scale_inplace(s);
-}
-
 std::size_t GnnModel::grad_bytes() const {
   std::size_t total = 0;
   for (const auto& layer : layers_) total += layer.grad_bytes();

@@ -57,8 +57,6 @@ class GnnModel {
 
   std::vector<Param*> params();
   void zero_grad();
-  /// Scale every parameter gradient by `s` (gradient averaging).
-  void scale_grads(float s);
   /// Total gradient bytes (model-gradient allreduce volume).
   std::size_t grad_bytes() const;
 

@@ -9,11 +9,10 @@
 namespace {
 
 constinit std::atomic<std::uint64_t> g_allocs{0};
-constinit std::atomic<std::uint64_t> g_deallocs{0};
 
 /// Allocate `size` bytes (never 0) or return nullptr. All replaced operator
 /// new forms funnel through here / through aligned_alloc_counted, so the
-/// counters see every heap allocation regardless of which form fired.
+/// counter sees every heap allocation regardless of which form fired.
 void* alloc_counted(std::size_t size) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
@@ -29,7 +28,6 @@ void* aligned_alloc_counted(std::size_t size, std::size_t align) noexcept {
 
 void free_counted(void* p) noexcept {
   if (p == nullptr) return;
-  g_deallocs.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
 
@@ -51,10 +49,6 @@ namespace adaqp::memory {
 
 std::uint64_t alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t dealloc_count() {
-  return g_deallocs.load(std::memory_order_relaxed);
 }
 
 bool track_enabled() {

@@ -14,80 +14,11 @@ constexpr const char* kCategoryKeys[kNumProfileCategories] = {
 
 constexpr double kUsToS = 1e-6;
 
-/// Parse a non-negative integer at `pos`; returns -1 when no digit.
-int parse_int(std::string_view s, std::size_t& pos) {
-  if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return -1;
-  int v = 0;
-  while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    v = v * 10 + (s[pos] - '0');
-    ++pos;
-  }
-  return v;
-}
-
-/// Parse the "d{X}" / "d{X}->d{Y}" suffix after the final '/'.
-void parse_pair(std::string_view name, StageClass& cls) {
-  const std::size_t slash = name.rfind('/');
-  if (slash == std::string_view::npos) return;
-  std::size_t pos = slash + 1;
-  if (pos >= name.size() || name[pos] != 'd') return;
-  ++pos;
-  const int first = parse_int(name, pos);
-  if (first < 0) return;
-  if (name.compare(pos, 3, "->d") == 0) {
-    pos += 3;
-    const int second = parse_int(name, pos);
-    if (second < 0) return;
-    cls.src = first;
-    cls.dst = second;
-  } else {
-    // Single-device suffix: bwd-acc runs on the receiving owner.
-    cls.dst = first;
-  }
-}
-
 }  // namespace
 
 const char* profile_category_key(int category) {
   if (category < 0 || category >= kNumProfileCategories) return "other";
   return kCategoryKeys[category];
-}
-
-StageClass classify_stage(std::string_view name) {
-  StageClass cls;
-  const auto starts = [&](std::string_view prefix) {
-    return name.size() >= prefix.size() &&
-           name.compare(0, prefix.size(), prefix) == 0;
-  };
-  if (starts("fwd/")) {
-    // Fused forward exchange: encode + modeled wire + decode in one span.
-    cls.category = kCatWire;
-    cls.fused_forward = true;
-    parse_pair(name, cls);
-  } else if (starts("bwd-enc/")) {
-    // Fused backward sender: encode + modeled wire in one span.
-    cls.category = kCatWire;
-    cls.fused_backward = true;
-    parse_pair(name, cls);
-  } else if (starts("bwd-acc/")) {
-    // Owner-side dequantize + accumulate.
-    cls.category = kCatDecode;
-    parse_pair(name, cls);
-  } else if (starts("bwd-zero/")) {
-    cls.category = kCatOther;
-  } else if (name.find("/central") != std::string_view::npos) {
-    cls.category = kCatCentral;
-  } else if (name.find("/marginal") != std::string_view::npos ||
-             name.find("/full") != std::string_view::npos) {
-    // A full-row stage (no central/marginal split) waits on its inbound
-    // messages like marginal rows do: compute that never hides.
-    cls.category = kCatMarginal;
-  } else if (name.find("/fold") != std::string_view::npos) {
-    cls.category = kCatFold;
-  } else if (name.find("/trace") != std::string_view::npos) {
-    cls.category = kCatOther;
-  }
-  return cls;
 }
 
 // ---------------------------------------------------------------------------
@@ -111,10 +42,10 @@ void ProfileDag::reserve(int max_stages, int max_deps) {
   latest_f_.resize(n);
   cp_pred_.resize(n);
   path_.resize(n);
-  iv_exchange_.clear();
-  iv_exchange_.reserve(n);
-  iv_compute_.clear();
-  iv_compute_.reserve(n);
+  exchange_iv_.clear();
+  exchange_iv_.reserve(n);
+  compute_iv_.clear();
+  compute_iv_.reserve(n);
   count_ = 0;
   dep_count_ = 0;
   truncated_ = false;
@@ -132,7 +63,7 @@ void ProfileDag::clear() {
   bwd_wire_frac_ = 1.0;
 }
 
-int ProfileDag::add_stage(const std::string* name, std::string_view name_view,
+int ProfileDag::add_stage(const std::string* name, const StageClass& role,
                           double begin_us, double end_us) {
   if (count_ >= stages_.capacity() || count_ >= deps_.size()) {
     truncated_ = true;
@@ -143,7 +74,7 @@ int ProfileDag::add_stage(const std::string* name, std::string_view name_view,
   st.name = name;
   st.begin_us = begin_us;
   st.end_us = std::max(end_us, begin_us);
-  st.cls = classify_stage(name_view);
+  st.cls = role;
   st.weight_s.fill(0.0);
   return static_cast<int>(count_++);
 }
@@ -213,7 +144,7 @@ void ProfileDag::compute(SegmentProfile& out, double* pair_s, int devices) {
   // Split each stage's measured span across categories. Fused exchange
   // stages use the cost model's quantize : comm : dequantize proportions
   // for this layer-epoch (set_exchange_model); plain stages land whole on
-  // their classified category.
+  // their declared category.
   double min_begin = stages_[0].begin_us;
   double max_end = stages_[0].end_us;
   std::array<bool, kNumProfileCategories> present{};
@@ -310,12 +241,11 @@ void ProfileDag::compute(SegmentProfile& out, double* pair_s, int devices) {
   }
   if (!present[kCatWire]) out.zero_wire_cp_s = out.cp_s;
 
-  // Realized exchange || compute concurrency over the same stage sets the
-  // trainer feeds EpochRow's OverlapAccum (exchange = pair stages + owner
-  // accumulate; compute = central + fold), through the same interval
-  // arithmetic — the two reports cannot drift.
-  iv_exchange_.clear();
-  iv_compute_.clear();
+  // Realized exchange || compute concurrency (exchange = pair stages +
+  // owner accumulate; compute = central + fold) — the one overlap
+  // computation; the trainer adds it into EpochRow's OverlapAccum.
+  exchange_iv_.clear();
+  compute_iv_.clear();
   for (std::size_t i = 0; i < count_; ++i) {
     const Stage& st = stages_[i];
     if (st.end_us <= st.begin_us) continue;
@@ -324,27 +254,26 @@ void ProfileDag::compute(SegmentProfile& out, double* pair_s, int devices) {
         (st.cls.category == kCatDecode);
     const bool compute =
         st.cls.category == kCatCentral || st.cls.category == kCatFold;
-    if (exchange) iv_exchange_.push_back({st.begin_us, st.end_us});
-    if (compute) iv_compute_.push_back({st.begin_us, st.end_us});
+    if (exchange) exchange_iv_.push_back({st.begin_us, st.end_us});
+    if (compute) compute_iv_.push_back({st.begin_us, st.end_us});
     if (pair_s != nullptr && devices > 0 && st.cls.dst >= 0 &&
         st.cls.dst < devices) {
       // Pair stages land at [src][dst]; the owner-side accumulate (no
-      // sender in its name) lands on the receiver's diagonal.
+      // sender in its role) lands on the receiver's diagonal.
       const int src = (st.cls.src >= 0 && st.cls.src < devices) ? st.cls.src
                                                                 : st.cls.dst;
       pair_s[static_cast<std::size_t>(src) * devices + st.cls.dst] +=
           (st.end_us - st.begin_us) * kUsToS;
     }
   }
-  accumulate_overlap(iv_exchange_, iv_compute_, out.overlap);
+  accumulate_overlap(exchange_iv_, compute_iv_, out.overlap);
 }
 
 // ---------------------------------------------------------------------------
 // ProfileCapture
 // ---------------------------------------------------------------------------
 
-void ProfileCapture::init(int max_epochs, int layers, int devices,
-                          int max_stages, int max_deps) {
+void ProfileCapture::init(int max_epochs, int layers, int devices) {
   capacity_ = std::max(max_epochs, 0);
   layers_ = std::max(layers, 1);
   devices_ = std::max(devices, 1);
@@ -356,7 +285,6 @@ void ProfileCapture::init(int max_epochs, int layers, int devices,
   phase_fwd_s_.assign(static_cast<std::size_t>(capacity_), 0.0);
   phase_bwd_s_.assign(static_cast<std::size_t>(capacity_), 0.0);
   phase_opt_s_.assign(static_cast<std::size_t>(capacity_), 0.0);
-  dag_.reserve(max_stages, max_deps);
   enabled_ = capacity_ > 0;
 }
 

@@ -20,21 +20,20 @@
 //  1. Write-only from the training path: nothing here feeds back into
 //     numerics, so profiling on vs. off is bit-identical for every method
 //     (tests/test_profile.cpp pins all five across async x threads).
-//  2. Zero allocations at steady state: ProfileCapture::init() dimensions
-//     every row, the DAG scratch and the interval scratch once, at the top
-//     of DistTrainer::run(); per-epoch capture then only writes
+//  2. Zero allocations at steady state: ProfileDag::reserve() and
+//     ProfileCapture::init() dimension the DAG scratch and every row once,
+//     at the top of DistTrainer::run(); per-epoch capture then only writes
 //     pre-allocated storage (gated with the profiler armed in
 //     tests/test_profile.cpp).
-//  3. One interval implementation: the profiler's overlap numbers come from
-//     the same obs/stopwatch.h interval arithmetic, over the same stage
-//     sets, as EpochRow's OverlapAccum — the two cannot drift (asserted
-//     exactly, not approximately, in tests).
+//  3. One overlap computation: on every metrics run the trainer solves each
+//     executed layer graph's DAG once and adds the segment's overlap into
+//     EpochRow's per-direction OverlapAccum, so the report's overlap and
+//     the profile's are the same numbers.
 //
-// Stage classification is by name, using the repo's stage naming scheme
-// (pipeline/async_exchange.cpp, core/trainer.cpp): "fwd/dX->dY" fused
-// exchange stages, "bwd-enc/dX->dY" / "bwd-acc/dX" / "bwd-zero/dX" backward
-// wire stages, "L{l}/central|marginal|full/d{d}" compute stages (full-row
-// stages count as marginal), "L{l}b/fold".
+// Stage classification comes from the role each stage declares when it is
+// added to its StageGraph (obs/stage_class.h); names are labels only.
+// Full-row compute stages declare kCatMarginal: like marginal rows they
+// wait on their inbound messages and never hide under the wire.
 // Fused exchange stages cover encode+wire+decode inside one measured span;
 // their span is split across the three categories in proportion to the
 // cost model's quantize : comm : dequantize seconds for that layer-epoch
@@ -44,8 +43,8 @@
 // ADAQP_METRICS run report (run_report.cpp; validated by
 // tools/metrics_schema_check) and compared across runs by
 // tools/profile_report — the repo's perf-regression gate. ADAQP_PROFILE=0
-// disables capture (docs/ENVVARS.md); default is on whenever a metrics
-// report is enabled.
+// drops the stored segments and that section (docs/ENVVARS.md); default is
+// on whenever a metrics report is enabled.
 #pragma once
 
 #include <array>
@@ -55,45 +54,13 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/stage_class.h"
 #include "obs/stopwatch.h"
 
 namespace adaqp::obs {
 
-// ---------------------------------------------------------------------------
-// Stage categories
-// ---------------------------------------------------------------------------
-
-/// Semantic attribution buckets for stage time. kCatOther absorbs stages
-/// with no wire/compute meaning (range traces, halo zeroing); the epoch
-/// rollup additionally reports optimizer / scheduling / serial components
-/// that are not stage categories (EpochProfile).
-enum ProfileCategory : int {
-  kCatCentral = 0,   ///< central-row compute (hides under the wire)
-  kCatMarginal,      ///< marginal-row compute (on the critical path by design)
-  kCatEncode,        ///< quantize + pack
-  kCatWire,          ///< modeled transfer share of exchange stages
-  kCatDecode,        ///< unpack + dequantize (+ owner-side accumulate)
-  kCatFold,          ///< shared parameter-gradient fold
-  kCatOther,         ///< range traces, halo zeroing, unrecognized stages
-  kNumProfileCategories
-};
-
 /// Stable JSON/report key per category ("central", "marginal", ...).
 const char* profile_category_key(int category);
-
-/// Classified identity of one stage, parsed from its name.
-struct StageClass {
-  int category = kCatOther;  ///< primary bucket (exchange stages: see split)
-  bool fused_forward = false;   ///< "fwd/dX->dY": encode+wire+decode in one
-  bool fused_backward = false;  ///< "bwd-enc/dX->dY": encode+wire in one
-  int src = -1;  ///< sender device for pair stages, else -1
-  int dst = -1;  ///< receiver device for pair stages, else -1
-};
-
-/// Parse a stage name into its category and (for wire stages) device pair.
-/// Pure and allocation-free; understands the repo's stage naming scheme and
-/// files anything else under kCatOther.
-StageClass classify_stage(std::string_view name);
 
 // ---------------------------------------------------------------------------
 // Per-segment results
@@ -121,8 +88,9 @@ struct SegmentProfile {
   /// cp_s − critical path recomputed with category c's weights zeroed:
   /// the seconds this segment shrinks if category c were free.
   std::array<double, kNumProfileCategories> sensitivity_s{};
-  /// Realized exchange||compute concurrency over the same stage sets as
-  /// EpochRow's per-direction OverlapAccum (exact agreement is tested).
+  /// Realized exchange||compute concurrency: exchange = fused exchange
+  /// stages + owner accumulates, compute = central stages + the fold. The
+  /// trainer adds it into EpochRow's per-direction OverlapAccum.
   OverlapAccum overlap;
   /// Names of the critical-path stages in execution order, truncated at
   /// kMaxCpStages. Pointers into the owning StageGraph's stable Node
@@ -148,12 +116,13 @@ class ProfileDag {
 
   void clear();
 
-  /// Add a stage with its measured timestamps (µs, monotonic_us() clock).
-  /// `name` may outlive the profile (graph-owned) or be null (tests).
-  /// Classification is by name; weight = end − begin. Returns the stage id,
-  /// or -1 when capacity is exhausted (the segment is then truncated —
-  /// callers size reserve() so this never happens in real runs).
-  int add_stage(const std::string* name, std::string_view name_view,
+  /// Add a stage with its declared role and measured timestamps (µs,
+  /// monotonic_us() clock). `name` is only remembered for the critical-path
+  /// list; it may outlive the profile (graph-owned) or be null.
+  /// Weight = end − begin. Returns the stage id, or -1 when capacity is
+  /// exhausted (the segment is then truncated — callers size reserve() so
+  /// this never happens in real runs).
+  int add_stage(const std::string* name, const StageClass& role,
                 double begin_us, double end_us);
 
   /// Declare that `stage` depends on `dep` (dep < stage). Edges beyond
@@ -196,8 +165,8 @@ class ProfileDag {
   std::vector<double> latest_f_;          ///< CPM backward pass
   std::vector<int> cp_pred_;              ///< longest-path predecessor
   mutable std::vector<double> path_;      ///< what-if longest-path scratch
-  std::vector<Interval> iv_exchange_;     ///< overlap scratch
-  std::vector<Interval> iv_compute_;
+  std::vector<Interval> exchange_iv_;     ///< overlap scratch
+  std::vector<Interval> compute_iv_;
   std::size_t count_ = 0;
   std::size_t dep_count_ = 0;
   std::size_t dep_capacity_ = 0;
@@ -233,25 +202,20 @@ struct EpochProfile {
 
 inline constexpr std::string_view kProfileSchema = "adaqp-profile-v1";
 
-/// Fixed-capacity per-run profile recorder, owned by RunCapture. init()
+/// Fixed-capacity per-run profile store, owned by RunCapture. init()
 /// allocates everything (top of DistTrainer::run()); segment capture and
 /// phase stamping never allocate.
 class ProfileCapture {
  public:
   /// Dimension for `max_epochs` x (`layers` x 2 directions) segments over a
-  /// `devices`-partition run, with DAG scratch for `max_stages` stages and
-  /// `max_deps` edges per segment. Enables capture.
-  void init(int max_epochs, int layers, int devices, int max_stages,
-            int max_deps);
+  /// `devices`-partition run. Enables capture.
+  void init(int max_epochs, int layers, int devices);
 
   bool enabled() const { return enabled_; }
   int layers() const { return layers_; }
   int devices() const { return devices_; }
   /// Highest epoch index with a captured segment or phases, + 1.
   int captured_epochs() const { return captured_; }
-
-  /// The shared DAG scratch (cleared by the caller per segment).
-  ProfileDag& dag() { return dag_; }
 
   /// Mutable segment row, or nullptr when disabled / out of capacity.
   SegmentProfile* segment(int epoch, int layer, bool forward);
@@ -281,7 +245,6 @@ class ProfileCapture {
   int layers_ = 0;
   int devices_ = 0;
   int captured_ = 0;
-  ProfileDag dag_;
   std::vector<SegmentProfile> segments_;  ///< [epoch][layer][direction]
   std::vector<double> pair_s_;            ///< [epoch][src][dst]
   std::vector<double> phase_fwd_s_, phase_bwd_s_, phase_opt_s_;

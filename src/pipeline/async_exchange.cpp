@@ -250,7 +250,9 @@ PairStages add_forward_exchange_stages(StageGraph& graph,
             decode_rows(tp.recv(tag, acct.blocks[d][p].bytes), locals[p],
                         dist.devices[p].recv_local[d]);
           },
-          {}, std::move(acc));
+          {}, std::move(acc),
+          {.category = obs::kCatWire, .fused_forward = true, .src = d,
+           .dst = p});
     }
   }
   return out;
@@ -322,7 +324,9 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
                                           static_cast<std::uint8_t>(p)};
             transport::active().send(tag, acct.blocks[d][p].bytes);
           },
-          enc_deps, std::move(acc));
+          enc_deps, std::move(acc),
+          {.category = obs::kCatWire, .fused_backward = true, .src = d,
+           .dst = p});
     }
   }
 
@@ -385,7 +389,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
             }
           }
         },
-        acc_deps, std::move(acc));
+        acc_deps, std::move(acc), {.category = obs::kCatDecode, .dst = p});
   }
 
   // Phase 3 stages — zero each device's halo rows once its own encodes (and

@@ -59,18 +59,14 @@ StageGraph::~StageGraph() {
   if (launched_ && async_mode_) all_done_.wait();
 }
 
-int StageGraph::add(std::string name, StageFn fn,
-                    const std::vector<int>& deps) {
-  return add(std::move(name), std::move(fn), deps, {});
-}
-
 int StageGraph::add(std::string name, StageFn fn, const std::vector<int>& deps,
-                    analysis::AccessList accesses) {
+                    analysis::AccessList accesses, obs::StageClass role) {
   ADAQP_CHECK_MSG(!launched_, "StageGraph::add after launch");
   const int id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();  // lint:allow(hot-path-alloc) graph build
   Node& node = nodes_.back();
   node.name = std::move(name);
+  node.role = role;
   node.fn = std::move(fn);
   node.accesses = std::move(accesses);
   node.pending = 0;
@@ -97,11 +93,6 @@ void StageGraph::maybe_racecheck() const {
       analysis::check_stage_dag(std::move(records), label_));
 }
 
-Event& StageGraph::stage_done(int id) {
-  ADAQP_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
-  return nodes_[id].done;
-}
-
 double StageGraph::stage_begin_us(int id) const {
   ADAQP_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
   return nodes_[id].begin_us;
@@ -117,6 +108,11 @@ const std::string& StageGraph::stage_name(int id) const {
   return nodes_[id].name;
 }
 
+const obs::StageClass& StageGraph::stage_role(int id) const {
+  ADAQP_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
+  return nodes_[id].role;
+}
+
 const std::vector<int>& StageGraph::stage_deps(int id) const {
   ADAQP_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
   return nodes_[id].deps;
@@ -124,8 +120,9 @@ const std::vector<int>& StageGraph::stage_deps(int id) const {
 
 void StageGraph::run_stage(std::size_t id) {
   Node& node = nodes_[id];
-  // Timestamps are stamped before finish_stage(): once the stage's Event is
-  // set the owner may read them (the Event mutex publishes the writes).
+  // Timestamps are stamped before finish_stage(): the owner reads them only
+  // after the run joins, and finish_stage()'s mu_ section followed by
+  // all_done_'s mutex publishes the writes to it.
   node.begin_us = obs::monotonic_us();
   {
     TraceSpan span(node.name, "stage");
@@ -150,7 +147,6 @@ void StageGraph::run_stage(std::size_t id) {
 
 void StageGraph::finish_stage(std::size_t id) {
   Node& node = nodes_[id];
-  node.done.set();
   // Per-node staging: only this node's (single, per run) finisher touches
   // it, and its capacity persists across reset() — no per-stage allocation.
   std::vector<int>& ready = node.ready_scratch;
@@ -190,10 +186,7 @@ void StageGraph::finish_stage(std::size_t id) {
 void StageGraph::reset() {
   ADAQP_CHECK_MSG(!launched_ || all_done_.done(),
                   "StageGraph::reset while a run is in flight");
-  for (Node& node : nodes_) {
-    node.pending = static_cast<int>(node.deps.size());
-    node.done.reset();
-  }
+  for (Node& node : nodes_) node.pending = static_cast<int>(node.deps.size());
   error_ = nullptr;
   remaining_ = 0;
   all_done_.reset();

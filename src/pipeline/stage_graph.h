@@ -1,7 +1,8 @@
 // Async stage scheduler on top of the runtime thread pool.
 //
 // A StageGraph is a DAG of named stages (closures) with explicit
-// dependencies. launch() submits every dependency-free stage to the thread
+// dependencies, each with a declared role (obs/stage_class.h) that the
+// profiler and the overlap report read. launch() submits every dependency-free stage to the thread
 // pool's detached queue and returns immediately; as stages finish they
 // unblock their dependents, which are submitted in turn. wait() joins the
 // whole graph — the waiting thread *helps* drain the detached queue, so a
@@ -56,6 +57,7 @@
 #include <vector>
 
 #include "analysis/race_checker.h"
+#include "obs/stage_class.h"
 
 namespace adaqp::pipeline {
 
@@ -92,25 +94,25 @@ class StageGraph {
   /// Add a stage. Dependencies must reference previously added stages
   /// (ids < the new stage's id), which keeps the graph acyclic by
   /// construction and makes ascending-id a valid serial schedule.
-  /// Returns the stage id.
-  int add(std::string name, StageFn fn, const std::vector<int>& deps = {});
-
-  /// Same, with declared buffer accesses for the race checker (see
-  /// analysis/race_checker.h). Under ADAQP_RACECHECK=1, launch() /
+  ///
+  /// `accesses` declares the stage's buffer accesses for the race checker
+  /// (see analysis/race_checker.h). Under ADAQP_RACECHECK=1, launch() /
   /// run_serial() verify that every conflicting access pair is ordered by
   /// the declared dependencies *before* any stage runs, and throw with a
   /// violation report otherwise. Stages added without accesses are opaque
   /// to the checker.
-  int add(std::string name, StageFn fn, const std::vector<int>& deps,
-          analysis::AccessList accesses);
+  ///
+  /// `role` is what the stage is (obs/stage_class.h): the profiler's
+  /// category and the overlap report's stage sets come from it, never from
+  /// the name. Stages added without one count as kCatOther.
+  /// Returns the stage id.
+  int add(std::string name, StageFn fn, const std::vector<int>& deps = {},
+          analysis::AccessList accesses = {}, obs::StageClass role = {});
 
   /// Label used for racecheck reports (default "stage-graph").
   void set_label(std::string label) { label_ = std::move(label); }
 
   std::size_t size() const { return nodes_.size(); }
-
-  /// Completion handle of one stage (valid until the graph is destroyed).
-  Event& stage_done(int id);
 
   /// Monotonic timestamps (obs::monotonic_us()) stamped around the last
   /// execution of a stage. Always on (two clock reads per stage) — this is
@@ -123,10 +125,11 @@ class StageGraph {
   double stage_end_us(int id) const;
 
   /// Stage identity for the critical-path profiler (src/obs/profile.h):
-  /// the name and declared dependency edges of a stage. References stay
-  /// valid for the graph's lifetime (nodes live in a deque), which is how
-  /// profile rows can keep name pointers instead of copies.
+  /// the name, declared role and dependency edges of a stage. References
+  /// stay valid for the graph's lifetime (nodes live in a deque), which is
+  /// how profile rows can keep name pointers instead of copies.
   const std::string& stage_name(int id) const;
+  const obs::StageClass& stage_role(int id) const;
   const std::vector<int>& stage_deps(int id) const;
 
   /// Submit all ready stages to the pool and return immediately. Call at
@@ -147,8 +150,8 @@ class StageGraph {
 
   /// Re-arm a fully finished graph for another run with the same stages.
   /// Requires the previous run to have completed (wait() returned /
-  /// run_serial() done). Allocation-free: pending counts, events and the
-  /// error slot are rewound in place. add() stays usable only before the
+  /// run_serial() done). Allocation-free: pending counts, the completion
+  /// event and the error slot are rewound in place. add() stays usable only before the
   /// first launch.
   void reset();
 
@@ -165,12 +168,12 @@ class StageGraph {
  private:
   struct Node {
     std::string name;
+    obs::StageClass role;
     StageFn fn;
     std::vector<int> deps;  ///< kept for the race checker + reset()
     std::vector<int> dependents;
     analysis::AccessList accesses;
     int pending = 0;  ///< unfinished dependencies; guarded by mu_
-    Event done;
     double begin_us = 0.0;  ///< stamped by the executing thread; read after
     double end_us = 0.0;    ///< the run joins (see stage_begin_us())
     std::vector<int> ready_scratch;  ///< finish_stage staging; this node only
@@ -182,8 +185,8 @@ class StageGraph {
   /// declared DAG + accesses and throws before any stage has run.
   void maybe_racecheck() const;
 
-  // Nodes are stored in a deque so Node addresses (and their Events) stay
-  // stable as stages are added.
+  // Nodes are stored in a deque so Node addresses (and the names the
+  // profiler points at) stay stable as stages are added.
   std::deque<Node> nodes_;
   std::mutex mu_;                 ///< guards pending counts / error / count
   std::size_t remaining_ = 0;

@@ -62,7 +62,6 @@ const KernelTable* merged_table(Isa isa) {
     if (native->axpy) merged.axpy = native->axpy;
     if (native->scale_row) merged.scale_row = native->scale_row;
     if (native->ef_fold) merged.ef_fold = native->ef_fold;
-    if (native->ef_residual) merged.ef_residual = native->ef_residual;
     if (native->gather_axpy) merged.gather_axpy = native->gather_axpy;
   }
   return &merged;

@@ -87,16 +87,12 @@ struct KernelTable {
   /// disjoint from the layer input).
   void (*scale_row)(float a, const float* src, float* dst, std::size_t n);
 
-  /// Error-feedback fold: dst[j] = a[j] + b[j] — one IEEE addition per
-  /// element, no accumulation, so bit-identity across ISAs is trivial.
-  /// dst may alias a (the in-place residual fold) but not partially
-  /// overlap it.
+  /// Elementwise fold: dst[j] = a[j] + b[j] — one IEEE addition per
+  /// element, no accumulation, so bit-identity across ISAs is trivial. The
+  /// backward owner-accumulate stage folds each decoded halo-gradient row
+  /// into its owned row with it, in place: dst may alias a but not
+  /// partially overlap it.
   void (*ef_fold)(const float* a, const float* b, float* dst, std::size_t n);
-
-  /// Error-feedback residual: dst[j] = a[j] - b[j] — one IEEE subtraction
-  /// per element; same aliasing rule as ef_fold.
-  void (*ef_residual)(const float* a, const float* b, float* dst,
-                      std::size_t n);
 
   /// Aggregation gather band: for each k ascending in [0, count),
   /// dst[j] += coeffs[k] * base[idx[k] * stride + j] for j in [0, n).

@@ -287,14 +287,6 @@ void ef_fold(const float* a, const float* b, float* dst, std::size_t n) {
   for (; j < n; ++j) dst[j] = a[j] + b[j];
 }
 
-void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8)
-    _mm256_storeu_ps(
-        dst + j, _mm256_sub_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j)));
-  for (; j < n; ++j) dst[j] = a[j] - b[j];
-}
-
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
@@ -324,8 +316,7 @@ void gather_axpy(const float* base, std::size_t stride,
 const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
-    scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    scale_row,  ef_fold,       gather_axpy,
 };
 
 }  // namespace

@@ -248,19 +248,6 @@ void ef_fold(const float* a, const float* b, float* dst, std::size_t n) {
   }
 }
 
-void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16)
-    _mm512_storeu_ps(
-        dst + j, _mm512_sub_ps(_mm512_loadu_ps(a + j), _mm512_loadu_ps(b + j)));
-  if (j < n) {
-    const __mmask16 m = static_cast<__mmask16>((1u << (n - j)) - 1u);
-    _mm512_mask_storeu_ps(dst + j, m,
-                          _mm512_sub_ps(_mm512_maskz_loadu_ps(m, a + j),
-                                        _mm512_maskz_loadu_ps(m, b + j)));
-  }
-}
-
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
@@ -287,8 +274,7 @@ void gather_axpy(const float* base, std::size_t stride,
 const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
-    scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    scale_row,  ef_fold,       gather_axpy,
 };
 
 }  // namespace

@@ -263,13 +263,6 @@ void ef_fold(const float* a, const float* b, float* dst, std::size_t n) {
   for (; j < n; ++j) dst[j] = a[j] + b[j];
 }
 
-void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4)
-    vst1q_f32(dst + j, vsubq_f32(vld1q_f32(a + j), vld1q_f32(b + j)));
-  for (; j < n; ++j) dst[j] = a[j] - b[j];
-}
-
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
@@ -291,8 +284,7 @@ void gather_axpy(const float* base, std::size_t stride,
 const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
-    scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    scale_row,  ef_fold,       gather_axpy,
 };
 
 }  // namespace

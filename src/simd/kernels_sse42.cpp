@@ -307,14 +307,6 @@ void ef_fold(const float* a, const float* b, float* dst, std::size_t n) {
   for (; j < n; ++j) dst[j] = a[j] + b[j];
 }
 
-void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4)
-    _mm_storeu_ps(dst + j,
-                  _mm_sub_ps(_mm_loadu_ps(a + j), _mm_loadu_ps(b + j)));
-  for (; j < n; ++j) dst[j] = a[j] - b[j];
-}
-
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
@@ -334,8 +326,7 @@ void gather_axpy(const float* base, std::size_t stride,
 const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
-    scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    scale_row,  ef_fold,       gather_axpy,
 };
 
 }  // namespace

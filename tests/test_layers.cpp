@@ -195,8 +195,9 @@ TEST_P(BackwardRows, FullOwnedListReproducesBackwardBitwise) {
 
   EXPECT_EQ(max_abs_diff(grad_x, ref_grad_x), 0.0f);
   EXPECT_EQ(max_abs_diff(sink.weight, ref_sink.weight), 0.0f);
-  if (!ref_sink.weight_self.empty())
+  if (!ref_sink.weight_self.empty()) {
     EXPECT_EQ(max_abs_diff(sink.weight_self, ref_sink.weight_self), 0.0f);
+  }
   if (!ref_sink.gamma.empty()) {
     EXPECT_EQ(max_abs_diff(sink.gamma, ref_sink.gamma), 0.0f);
     EXPECT_EQ(max_abs_diff(sink.beta, ref_sink.beta), 0.0f);

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,7 +90,6 @@ void check_topological(bool async, int threads) {
   EXPECT_LT(pos[1], pos[3]);
   EXPECT_LT(pos[2], pos[3]);
   EXPECT_LT(pos[3], pos[4]);
-  for (int id = 0; id < 5; ++id) EXPECT_TRUE(g.stage_done(id).done());
 }
 
 TEST(StageGraph, TopologicalExecutionSerial) {
@@ -109,8 +109,11 @@ TEST(StageGraph, ManyIndependentStagesAllRun) {
   ThreadCountGuard guard(4);
   StageGraph g;
   std::vector<std::atomic<int>> hits(64);
-  for (int i = 0; i < 64; ++i)
-    g.add("s" + std::to_string(i), [&hits, i] { hits[i]++; });
+  for (int i = 0; i < 64; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    g.add(std::move(name), [&hits, i] { hits[i]++; });
+  }
   g.run(/*async=*/true);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }

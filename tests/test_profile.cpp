@@ -1,12 +1,13 @@
-// Critical-path profiler (src/obs/profile.h, docs/OBSERVABILITY.md):
-// stage-name classification, the critical-path method on synthetic DAGs
-// with hand-set timestamps (diamond / chain / fan-out / PipeGCN-deferred
+// Critical-path profiler (src/obs/profile.h, docs/OBSERVABILITY.md): the
+// critical-path method on synthetic DAGs with hand-set timestamps and
+// declared stage roles (diamond / chain / fan-out / PipeGCN-deferred
 // shapes), the epoch rollup identity (categories + optimizer + scheduling +
-// serial == attributed wall), what-if bounds, and the three house
-// invariants through DistTrainer: profiling on vs. off is bit-identical for
-// every method x async x threads, the profiler's overlap numbers agree
-// exactly with EpochRow's (same interval implementation), and warm epochs
-// stay zero-alloc with the profiler armed.
+// serial == attributed wall), what-if bounds, the roles the trainer's
+// graph builders declare, and the three house invariants through
+// DistTrainer: profiling on vs. off is bit-identical for every method x
+// async x threads, EpochRow's overlap is exactly the sum of the segments'
+// (one overlap computation), and warm epochs stay zero-alloc with the
+// profiler armed.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -52,44 +53,17 @@ std::string slurp(const std::string& path) {
 
 constexpr double kTol = 1e-12;  // synthetic weights are tens of µs
 
-// ---- Stage classification -------------------------------------------------
+// ---- Stage roles -----------------------------------------------------------
 
-TEST(ClassifyStage, RecognizesTheRepoNamingScheme) {
-  obs::StageClass c = obs::classify_stage("fwd/d0->d1");
-  EXPECT_EQ(c.category, obs::kCatWire);
-  EXPECT_TRUE(c.fused_forward);
-  EXPECT_FALSE(c.fused_backward);
-  EXPECT_EQ(c.src, 0);
-  EXPECT_EQ(c.dst, 1);
+constexpr obs::StageClass kCentral{.category = obs::kCatCentral};
+constexpr obs::StageClass kMarginal{.category = obs::kCatMarginal};
+/// The fused forward exchange stage of message d0 -> d1.
+constexpr obs::StageClass kForward01{.category = obs::kCatWire,
+                                     .fused_forward = true,
+                                     .src = 0,
+                                     .dst = 1};
 
-  c = obs::classify_stage("bwd-enc/d2->d0");
-  EXPECT_EQ(c.category, obs::kCatWire);
-  EXPECT_TRUE(c.fused_backward);
-  EXPECT_EQ(c.src, 2);
-  EXPECT_EQ(c.dst, 0);
-
-  c = obs::classify_stage("bwd-acc/d3");
-  EXPECT_EQ(c.category, obs::kCatDecode);
-  EXPECT_FALSE(c.fused_forward);
-  EXPECT_EQ(c.src, -1);  // owner-side accumulate has no sender
-  EXPECT_EQ(c.dst, 3);
-
-  EXPECT_EQ(obs::classify_stage("bwd-zero/d1").category, obs::kCatOther);
-  EXPECT_EQ(obs::classify_stage("L0/central/d2").category, obs::kCatCentral);
-  EXPECT_EQ(obs::classify_stage("L2b/central/d0").category,
-            obs::kCatCentral);
-  EXPECT_EQ(obs::classify_stage("L1/marginal/d0").category,
-            obs::kCatMarginal);
-  EXPECT_EQ(obs::classify_stage("L2b/fold").category, obs::kCatFold);
-  EXPECT_EQ(obs::classify_stage("L0b/trace/d1").category, obs::kCatOther);
-
-  c = obs::classify_stage("not-a-known-stage");
-  EXPECT_EQ(c.category, obs::kCatOther);
-  EXPECT_EQ(c.src, -1);
-  EXPECT_EQ(c.dst, -1);
-}
-
-TEST(ClassifyStage, CategoryKeysAreStable) {
+TEST(ProfileCategory, KeysAreStable) {
   EXPECT_STREQ(obs::profile_category_key(obs::kCatCentral), "central");
   EXPECT_STREQ(obs::profile_category_key(obs::kCatWire), "wire");
   EXPECT_STREQ(obs::profile_category_key(obs::kCatFold), "fold");
@@ -109,10 +83,10 @@ TEST(ProfileDag, DiamondCriticalPathSlackAndAttribution) {
   const std::string b = "L0/marginal/d0";
   const std::string c = "L0/central/d1";
   const std::string d = "L0/marginal/d1";
-  ASSERT_EQ(dag.add_stage(&a, a, 0.0, 10.0), 0);
-  ASSERT_EQ(dag.add_stage(&b, b, 10.0, 30.0), 1);
-  ASSERT_EQ(dag.add_stage(&c, c, 10.0, 20.0), 2);
-  ASSERT_EQ(dag.add_stage(&d, d, 30.0, 40.0), 3);
+  ASSERT_EQ(dag.add_stage(&a, kCentral, 0.0, 10.0), 0);
+  ASSERT_EQ(dag.add_stage(&b, kMarginal, 10.0, 30.0), 1);
+  ASSERT_EQ(dag.add_stage(&c, kCentral, 10.0, 20.0), 2);
+  ASSERT_EQ(dag.add_stage(&d, kMarginal, 30.0, 40.0), 3);
   dag.add_dep(1, 0);
   dag.add_dep(2, 0);
   dag.add_dep(3, 1);
@@ -161,8 +135,8 @@ TEST(ProfileDag, ChainSplitsFusedExchangeByTheCostModel) {
   dag.set_exchange_model(/*quant_s=*/1.0, /*comm_s=*/2.0, /*dequant_s=*/3.0);
   const std::string x = "fwd/d0->d1";
   const std::string c = "L0/central/d1";
-  ASSERT_EQ(dag.add_stage(&x, x, 0.0, 30.0), 0);
-  ASSERT_EQ(dag.add_stage(&c, c, 30.0, 50.0), 1);
+  ASSERT_EQ(dag.add_stage(&x, kForward01, 0.0, 30.0), 0);
+  ASSERT_EQ(dag.add_stage(&c, kCentral, 30.0, 50.0), 1);
   dag.add_dep(1, 0);
 
   obs::SegmentProfile seg;
@@ -196,10 +170,10 @@ TEST(ProfileDag, FanOutPutsSlackOnTheFastBranches) {
   const std::string k1 = "L0/marginal/d0";
   const std::string k2 = "L0/marginal/d1";
   const std::string k3 = "L0/marginal/d2";
-  ASSERT_EQ(dag.add_stage(&root, root, 0.0, 10.0), 0);
-  dag.add_stage(&k1, k1, 10.0, 40.0);  // 30µs — the slow branch
-  dag.add_stage(&k2, k2, 10.0, 25.0);  // 15µs
-  dag.add_stage(&k3, k3, 10.0, 20.0);  // 10µs
+  ASSERT_EQ(dag.add_stage(&root, kCentral, 0.0, 10.0), 0);
+  dag.add_stage(&k1, kMarginal, 10.0, 40.0);  // 30µs — the slow branch
+  dag.add_stage(&k2, kMarginal, 10.0, 25.0);  // 15µs
+  dag.add_stage(&k3, kMarginal, 10.0, 20.0);  // 10µs
   dag.add_dep(1, 0);
   dag.add_dep(2, 0);
   dag.add_dep(3, 0);
@@ -224,9 +198,9 @@ TEST(ProfileDag, DeferredLongWireDominatesUntilZeroed) {
   const std::string wire = "fwd/d0->d1";
   const std::string central = "L0/central/d0";
   const std::string marginal = "L0/marginal/d0";
-  ASSERT_EQ(dag.add_stage(&wire, wire, 0.0, 100.0), 0);
-  ASSERT_EQ(dag.add_stage(&central, central, 0.0, 30.0), 1);
-  ASSERT_EQ(dag.add_stage(&marginal, marginal, 100.0, 120.0), 2);
+  ASSERT_EQ(dag.add_stage(&wire, kForward01, 0.0, 100.0), 0);
+  ASSERT_EQ(dag.add_stage(&central, kCentral, 0.0, 30.0), 1);
+  ASSERT_EQ(dag.add_stage(&marginal, kMarginal, 100.0, 120.0), 2);
   dag.add_dep(2, 0);
   dag.add_dep(2, 1);
 
@@ -248,9 +222,9 @@ TEST(ProfileDag, TruncatesPastCapacityInsteadOfGrowing) {
   obs::ProfileDag dag;
   dag.reserve(2, 1);
   const std::string n = "L0/central/d0";
-  EXPECT_EQ(dag.add_stage(&n, n, 0.0, 1.0), 0);
-  EXPECT_EQ(dag.add_stage(&n, n, 1.0, 2.0), 1);
-  EXPECT_EQ(dag.add_stage(&n, n, 2.0, 3.0), -1);  // over stage capacity
+  EXPECT_EQ(dag.add_stage(&n, kCentral, 0.0, 1.0), 0);
+  EXPECT_EQ(dag.add_stage(&n, kCentral, 1.0, 2.0), 1);
+  EXPECT_EQ(dag.add_stage(&n, kCentral, 2.0, 3.0), -1);  // over capacity
   EXPECT_TRUE(dag.truncated());
   dag.add_dep(1, 0);  // fills the single edge slot
   dag.add_dep(1, 0);  // over edge capacity: dropped
@@ -267,21 +241,20 @@ TEST(ProfileDag, TruncatesPastCapacityInsteadOfGrowing) {
 /// sum to the attributed wall exactly, and the what-if bounds order.
 TEST(ProfileCapture, EpochRollupDecomposesTheAttributedWall) {
   obs::ProfileCapture cap;
-  cap.init(/*max_epochs=*/1, /*layers=*/1, /*devices=*/2, /*max_stages=*/8,
-           /*max_deps=*/8);
+  cap.init(/*max_epochs=*/1, /*layers=*/1, /*devices=*/2);
   ASSERT_TRUE(cap.enabled());
 
   // One forward segment: makespan 100µs, critical path 80µs.
   obs::SegmentProfile* seg = cap.segment(0, 0, /*forward=*/true);
   ASSERT_NE(seg, nullptr);
-  obs::ProfileDag& dag = cap.dag();
-  dag.clear();
+  obs::ProfileDag dag;
+  dag.reserve(8, 8);
   const std::string a = "L0/central/d0";
   const std::string b = "L0/marginal/d0";
   const std::string c = "L0/marginal/d1";
-  dag.add_stage(&a, a, 0.0, 30.0);
-  dag.add_stage(&b, b, 30.0, 80.0);   // on the path: 30 + 50 = 80µs
-  dag.add_stage(&c, c, 40.0, 100.0);  // parallel branch stretching makespan
+  dag.add_stage(&a, kCentral, 0.0, 30.0);
+  dag.add_stage(&b, kMarginal, 30.0, 80.0);  // on the path: 30 + 50 = 80µs
+  dag.add_stage(&c, kMarginal, 40.0, 100.0);  // parallel, stretches makespan
   dag.add_dep(1, 0);
   dag.compute(*seg, cap.pair_seconds(0), 2);
   ASSERT_NEAR(seg->makespan_s, 100e-6, kTol);
@@ -311,7 +284,7 @@ TEST(ProfileCapture, DisabledAndOutOfRangeAccessesAreSafe) {
   EXPECT_FALSE(cap.enabled());
   EXPECT_EQ(cap.segment(0, 0, true), nullptr);
   EXPECT_EQ(cap.pair_seconds(0), nullptr);
-  cap.init(1, 2, 2, 4, 4);
+  cap.init(1, 2, 2);
   EXPECT_EQ(cap.segment(1, 0, true), nullptr);   // epoch out of capacity
   EXPECT_EQ(cap.segment(0, 2, true), nullptr);   // layer out of range
   EXPECT_EQ(cap.segment(-1, 0, true), nullptr);
@@ -322,8 +295,9 @@ TEST(ProfileCapture, DisabledAndOutOfRangeAccessesAreSafe) {
 
 // ---- Through a real StageGraph --------------------------------------------
 
-/// The profiler consumes StageGraph's name/deps accessors and its always-on
-/// timestamps; a really-executed graph must produce a consistent profile.
+/// The profiler consumes StageGraph's name/role/deps accessors and its
+/// always-on timestamps; a really-executed graph must produce a consistent
+/// profile.
 TEST(ProfileDag, RealStageGraphProfileIsConsistent) {
   pipeline::StageGraph graph;
   volatile double sink = 0.0;
@@ -332,21 +306,22 @@ TEST(ProfileDag, RealStageGraphProfileIsConsistent) {
     for (int i = 1; i < 20000; ++i) acc += 1.0 / i;
     sink = acc;
   };
-  const int a = graph.add("L0/central/d0", burn);
-  const int b = graph.add("L0/marginal/d0", burn, {a});
-  const int c = graph.add("L0/marginal/d1", burn, {a});
+  const int a = graph.add("L0/central/d0", burn, {}, {}, kCentral);
+  const int b = graph.add("L0/marginal/d0", burn, {a}, {}, kMarginal);
+  const int c = graph.add("L0/marginal/d1", burn, {a}, {}, kMarginal);
   graph.run_serial();
 
   EXPECT_EQ(graph.stage_name(b), "L0/marginal/d0");
+  EXPECT_EQ(graph.stage_role(a).category, obs::kCatCentral);
+  EXPECT_EQ(graph.stage_role(b).category, obs::kCatMarginal);
   ASSERT_EQ(graph.stage_deps(c).size(), 1u);
   EXPECT_EQ(graph.stage_deps(c)[0], a);
 
   obs::ProfileDag dag;
   dag.reserve(4, 4);
   for (int id = 0; id < static_cast<int>(graph.size()); ++id) {
-    const std::string& name = graph.stage_name(id);
-    dag.add_stage(&name, name, graph.stage_begin_us(id),
-                  graph.stage_end_us(id));
+    dag.add_stage(&graph.stage_name(id), graph.stage_role(id),
+                  graph.stage_begin_us(id), graph.stage_end_us(id));
     for (const int dep : graph.stage_deps(id)) dag.add_dep(id, dep);
   }
   obs::SegmentProfile seg;
@@ -467,9 +442,65 @@ TEST(ProfileTrainer, CapturesSegmentsRollupsAndEmitsTheSchema) {
   EXPECT_NE(body.find("\"pair_exchange_s\""), std::string::npos);
 }
 
-/// House invariant 3: the profiler's overlap numbers come from the same
-/// interval implementation, over the same stage sets, as EpochRow's — the
-/// two reports agree exactly, not approximately.
+/// The roles the trainer's graph builders declare, seen through the solved
+/// segments: AdaQP's central stages overlap its exchange stages in both
+/// directions; Vanilla's full-row forward stages are not central, so its
+/// forward has no compute side, while its backward fold is. Pair stages
+/// charge their seconds to (src, dst); the owner-side accumulate charges
+/// the receiver's diagonal.
+TEST(ProfileTrainer, DeclaredRolesPinTheOverlapSetsAndPairs) {
+  Rng rng(36);
+  const Dataset ds = make_dataset(profile_spec(), rng);
+  Rng prng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, prng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const int n = dist.num_devices();
+
+  AsyncModeGuard async_guard(true);
+  ThreadCountGuard thread_guard(4);
+  for (const Method method : {Method::kAdaQP, Method::kVanilla}) {
+    DistTrainer trainer = make_trainer(ds, dist, method, 2);
+    {
+      obs::MetricsGuard metrics(::testing::TempDir() +
+                                "adaqp_profile_roles.json");
+      obs::ProfileGuard profile(true);
+      trainer.run();
+    }
+    const obs::ProfileCapture& prof = trainer.run_capture().profile();
+    ASSERT_EQ(prof.captured_epochs(), 2) << method_name(method);
+    const bool adaqp = method == Method::kAdaQP;
+    for (int e = 0; e < prof.captured_epochs(); ++e) {
+      for (int l = 0; l < prof.layers(); ++l) {
+        const std::string where = method_name(method) + " epoch " +
+                                  std::to_string(e) + " layer " +
+                                  std::to_string(l);
+        const obs::OverlapAccum& fwd = prof.segment_at(e, l, true).overlap;
+        const obs::OverlapAccum& bwd = prof.segment_at(e, l, false).overlap;
+        EXPECT_GT(fwd.exchange_busy_s, 0.0) << where;
+        EXPECT_EQ(fwd.compute_busy_s > 0.0, adaqp) << where;
+        // Layer 0's backward has no exchange; every backward has the fold.
+        EXPECT_EQ(bwd.exchange_busy_s > 0.0, l > 0) << where;
+        EXPECT_GT(bwd.compute_busy_s, 0.0) << where;
+      }
+      for (int s = 0; s < n; ++s) {
+        bool owner_receives = false;  // some device sends s gradients
+        for (int d = 0; d < n; ++d) {
+          if (s == d) continue;
+          owner_receives |= !dist.devices[d].recv_local[s].empty();
+          const bool messages = !dist.devices[s].send_local[d].empty() ||
+                                !dist.devices[s].recv_local[d].empty();
+          EXPECT_EQ(prof.pair_seconds_at(e, s, d) > 0.0, messages)
+              << method_name(method) << " pair " << s << "->" << d;
+        }
+        EXPECT_EQ(prof.pair_seconds_at(e, s, s) > 0.0, owner_receives)
+            << method_name(method) << " owner accumulate on d" << s;
+      }
+    }
+  }
+}
+
+/// House invariant 3: one overlap computation — EpochRow's overlap is the
+/// sum of the solved segments' overlap, exactly, not approximately.
 TEST(ProfileTrainer, SegmentOverlapAgreesExactlyWithEpochRow) {
   Rng rng(32);
   const Dataset ds = make_dataset(profile_spec(), rng);
@@ -602,7 +633,7 @@ TEST(ProfileTrainer, ProfileOnRunsAreBitIdenticalToProfileOff) {
 }
 
 /// House invariant 2: warm epochs stay zero-alloc with the profiler armed
-/// (ProfileCapture::init pre-sizes everything at the top of run()).
+/// (run() pre-sizes the DAG scratch and every profile row).
 TEST(ProfileTrainer, SteadyStateStaysAllocationFreeWithProfilerArmed) {
   Rng rng(35);
   const Dataset ds = make_dataset(profile_spec(), rng);

@@ -343,11 +343,11 @@ TEST(SimdGemm, AxpyKernelHandlesRaggedTails) {
   }
 }
 
-// ---- Aggregation & error-feedback kernels ---------------------------------
+// ---- Aggregation & fold kernels ------------------------------------------
 
-/// The new kernel-matrix entries (scale_row, ef_fold, ef_residual,
-/// gather_axpy) must be bit-identical to the scalar reference on every
-/// host-supported ISA at ragged sizes straddling all vector widths.
+/// The new kernel-matrix entries (scale_row, ef_fold, gather_axpy) must be
+/// bit-identical to the scalar reference on every host-supported ISA at
+/// ragged sizes straddling all vector widths.
 TEST(SimdAggregate, NewKernelsBitIdenticalAcrossIsasOnRaggedTails) {
   const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33,
                                63, 64, 65, 100, 130};
@@ -371,14 +371,10 @@ TEST(SimdAggregate, NewKernelsBitIdenticalAcrossIsasOnRaggedTails) {
         for (std::size_t i = 0; i < n; ++i) ref[i] = a[i] + b[i];
         EXPECT_EQ(dst, ref) << isa_name(isa) << " ef_fold n=" << n;
 
-        // In-place fold (dst aliases a), the trainer's residual-add form.
+        // In-place fold (dst aliases a), the owner-accumulate form.
         std::vector<float> inplace = a;
         kt.ef_fold(inplace.data(), b.data(), inplace.data(), n);
         EXPECT_EQ(inplace, ref) << isa_name(isa) << " ef_fold alias n=" << n;
-
-        kt.ef_residual(a.data(), b.data(), dst.data(), n);
-        for (std::size_t i = 0; i < n; ++i) ref[i] = a[i] - b[i];
-        EXPECT_EQ(dst, ref) << isa_name(isa) << " ef_residual n=" << n;
       }
     }
   }
