@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "quant/quantize.h"
+#include "simd/kernels.h"
 
 namespace adaqp {
 
@@ -238,15 +239,15 @@ std::vector<float> row_ranges_of(const Matrix& m) {
 
 void row_ranges_of_into(const Matrix& m, std::vector<float>& ranges) {
   ranges.assign(m.rows(), 0.0f);
+  if (m.cols() == 0) return;
+  const auto row_minmax = simd::kernels().row_minmax;
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    const auto row = m.row(r);
-    if (row.empty()) continue;
-    float lo = row[0], hi = row[0];
-    for (float v : row) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    ranges[r] = hi - lo;
+    float lo = 0.0f, hi = 0.0f;
+    row_minmax(m.row(r).data(), m.cols(), &lo, &hi);
+    // Which zero a min/max reduction keeps depends on its order; + 0.0f
+    // maps -0 to +0 (as quantize_payload does), so the range is the same
+    // bits on every ISA.
+    ranges[r] = (hi + 0.0f) - (lo + 0.0f);
   }
 }
 

@@ -338,9 +338,9 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     if (l + 1 < num_layers_) join_deferred(l + 1, /*forward=*/true);
   }
   // Trace input ranges for the assigner before any halo row of this
-  // layer's input is rewritten.
+  // layer's input is rewritten — only when this epoch's refresh reads them.
   fwd_ranges_[l].resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d)
+  for (int d = 0; traces_ranges() && d < num_devices_; ++d)
     row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
   if (policy_.skip_stale) sancus_drift_step(l);
   if (policy_.deferred && !pipegcn_warm_) {
@@ -491,10 +491,11 @@ EpochBreakdown DistTrainer::backward_layer(int l, std::vector<Matrix>& grads,
   const bool exchange = l > 0 && !policy_.deferred;
   // Size the input-gradient buffers (the exchange stage builder validates
   // shapes at build time): the row-subset adjoints accumulate, so the
-  // split needs them zeroed; the full-row adjoint zeroes its own.
+  // split needs them zeroed; the full-row adjoint zeroes its own. Layer 0
+  // produces none: nothing reads the gradient wrt the input features.
   const std::size_t in_dim = model_.layer_in_dim(l);
-  for (int d = 0; d < num_devices_; ++d) {
-    if (policy_.split && l > 0)
+  for (int d = 0; l > 0 && d < num_devices_; ++d) {
+    if (policy_.split)
       grad_x[d].reshape_zero(dist_.devices[d].num_local(), in_dim);
     else
       grad_x[d].reshape_uninit(dist_.devices[d].num_local(), in_dim);
@@ -581,14 +582,15 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
     const std::string dn = indexed("d", d);
     // Central-row adjoint (owned-row writes only — the compute that runs
     // while the halo-gradient exchange is on the wire), or the full-row
-    // adjoint, which writes every local row.
+    // adjoint, which writes every local row (layer 0: none).
     AccessList acc;
     if (analysis::racecheck_enabled()) {
       acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
                                  "grad_out[" + dn + "]"));
-      acc.push_back(rc_row_range(grad_x[d], 0,
-                                 split ? dev.num_owned : dev.num_local(),
-                                 kRcWrite, "grad[" + dn + "].rows"));
+      if (l > 0)
+        acc.push_back(rc_row_range(grad_x[d], 0,
+                                   split ? dev.num_owned : dev.num_local(),
+                                   kRcWrite, "grad[" + dn + "].rows"));
       acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
                                       "cache[" + dn + "]"));
       acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
@@ -611,7 +613,8 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
           prefix + "/full/" + dn,
           [this, &grads, &grad_x, &sinks, l, d] {
             model_.layer(l).backward(dist_.devices[d], grads[d],
-                                     caches_[l][d], grad_x[d], sinks[d],
+                                     caches_[l][d],
+                                     l > 0 ? &grad_x[d] : nullptr, sinks[d],
                                      bwd_scratch_[l][d]);
           },
           {}, std::move(acc), {.category = obs::kCatMarginal});
@@ -621,7 +624,8 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
     const DeviceGraph& dev = dist_.devices[d];
     const std::string dn = indexed("d", d);
     // Assigner range trace: needs the complete local adjoint but must
-    // precede the exchange's mutations (owner accumulate, halo zero).
+    // precede the exchange's mutations (owner accumulate, halo zero). The
+    // stage runs every epoch; it traces only when the refresh reads it.
     AccessList acc;
     if (analysis::racecheck_enabled()) {
       acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcRead,
@@ -633,7 +637,8 @@ void DistTrainer::build_backward_graph(int l, std::vector<Matrix>& grads,
     trace[d] = graph.add(
         prefix + "/trace/" + dn,
         [this, &grad_x, l, d] {
-          row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+          if (traces_ranges())
+            row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
         },
         {compute[d]}, std::move(acc));
   }
@@ -947,6 +952,16 @@ void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
   }
 }
 
+bool DistTrainer::refresh_epoch() const {
+  return policy_.plans != Policy::Plans::kUniform32 &&
+         (epoch_ == 0 ||
+          (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
+}
+
+bool DistTrainer::traces_ranges() const {
+  return policy_.plans == Policy::Plans::kAssigner && refresh_epoch();
+}
+
 void DistTrainer::refresh_plans() {
   if (policy_.plans == Policy::Plans::kAssigner) {
     const Aggregator agg = model_.config().aggregator;
@@ -1014,9 +1029,7 @@ EpochRecord DistTrainer::train_epoch() {
   if (policy_.deferred) pipegcn_warm_ = true;
 
   // Periodic bit-width (re-)assignment at the end of the traced period.
-  const bool refresh_now =
-      policy_.plans != Policy::Plans::kUniform32 &&
-      (epoch_ == 0 || (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
+  const bool refresh_now = refresh_epoch();
   if (refresh_now) refresh_plans();
   const std::uint64_t a4 = memory::alloc_count();
   const double w4 = obs::monotonic_us();

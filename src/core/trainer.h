@@ -218,6 +218,11 @@ class DistTrainer {
     double launch_us = 0.0;         ///< obs::monotonic_us() at launch
   };
 
+  /// This epoch ends in a plan refresh (refresh_plans).
+  bool refresh_epoch() const;
+  /// This epoch traces the row ranges fwd_ranges_/bwd_ranges_: only the
+  /// assigner's refresh reads them.
+  bool traces_ranges() const;
   void refresh_plans();
   EpochBreakdown forward_pass(double& loss_out);
   EpochBreakdown backward_pass();

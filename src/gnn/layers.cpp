@@ -264,7 +264,7 @@ void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
                         const LayerCache& cache, Matrix& grad_x,
                         LayerGrads& sink) const {
   LayerBackwardScratch scratch;
-  backward(dev, grad_out, cache, grad_x, sink, scratch);
+  backward(dev, grad_out, cache, &grad_x, sink, scratch);
 }
 
 namespace {
@@ -279,7 +279,7 @@ inline void clear_once(Matrix& m) {
 }  // namespace
 
 void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
-                        const LayerCache& cache, Matrix& grad_x,
+                        const LayerCache& cache, Matrix* grad_x,
                         LayerGrads& sink, LayerBackwardScratch& s) const {
   ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
   ADAQP_CHECK(grad_out.cols() == config_.out_dim);
@@ -313,29 +313,29 @@ void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
     dpre_norm = &s.dh;
   }
 
-  // Dense transform backward (gemm_tn / gemm_nt overwrite their outputs,
-  // reshaping in place).
-  if (config_.aggregator != Aggregator::kSageMean) {
-    clear_once(sink.weight_self);
-    gemm_tn(cache.agg, *dpre_norm, sink.weight);
-    gemm_nt(*dpre_norm, weight_.value, s.dagg);
-    grad_x.reshape_zero(dev.num_local(), config_.in_dim);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
-  } else {
-    // Neighbor path: cache.mean_nbr, weight_; self path: cache.agg (owned
-    // input rows), weight_self_.
-    gemm_tn(cache.mean_nbr, *dpre_norm, sink.weight);
+  // Dense transform backward: the weight gradients (gemm_tn overwrites,
+  // reshaping in place), then the input gradient unless nobody reads it.
+  // Neighbor path: cache.mean_nbr (GCN: cache.agg), weight_; SAGE self
+  // path: cache.agg (owned input rows), weight_self_.
+  const bool sage = config_.aggregator == Aggregator::kSageMean;
+  gemm_tn(sage ? cache.mean_nbr : cache.agg, *dpre_norm, sink.weight);
+  if (sage)
     gemm_tn(cache.agg, *dpre_norm, sink.weight_self);
+  else
+    clear_once(sink.weight_self);
+  if (grad_x == nullptr) return;
 
-    gemm_nt(*dpre_norm, weight_.value, s.dagg);
-    grad_x.reshape_zero(dev.num_local(), config_.in_dim);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
-    gemm_nt(*dpre_norm, weight_self_.value, s.dself);
-    for (std::size_t r = 0; r < dev.num_owned; ++r) {
-      auto dst = grad_x.row(r);
-      const auto src = s.dself.row(r);
-      for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
-    }
+  transpose_into(weight_.value, s.weight_t);
+  gemm(*dpre_norm, s.weight_t, s.dagg);
+  grad_x->reshape_zero(dev.num_local(), config_.in_dim);
+  aggregate_backward(dev, cache.agg_plan, s.dagg, *grad_x);
+  if (!sage) return;
+  transpose_into(weight_self_.value, s.weight_t);
+  gemm(*dpre_norm, s.weight_t, s.dself);
+  for (std::size_t r = 0; r < dev.num_owned; ++r) {
+    auto dst = grad_x->row(r);
+    const auto src = s.dself.row(r);
+    for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
   }
 }
 
@@ -409,24 +409,25 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   // partials sum the subset's rows in span order; the input-gradient scatter
   // runs the serial per-source kernel, so contributions to a shared
   // destination fold in span order too.
-  s.dagg.reshape_uninit(dev.num_owned, config_.in_dim);
-  if (config_.aggregator != Aggregator::kSageMean) {
-    clear_once(sink.weight_self);
-    gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
-  } else {
-    gemm_tn_rows(cache.mean_nbr, s.dpre_norm, sink.weight, rows);
+  const bool sage = config_.aggregator == Aggregator::kSageMean;
+  gemm_tn_rows(sage ? cache.mean_nbr : cache.agg, s.dpre_norm, sink.weight,
+               rows);
+  if (sage)
     gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight_self, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
-    s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
-    gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows);
-    for (NodeId r : rows) {
-      auto dst = grad_x.row(r);
-      const auto src = s.dself.row(r);
-      for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
-    }
+  else
+    clear_once(sink.weight_self);
+  s.dagg.reshape_uninit(dev.num_owned, config_.in_dim);
+  transpose_into(weight_.value, s.weight_t);
+  gemm_rows(s.dpre_norm, s.weight_t, s.dagg, rows);
+  aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
+  if (!sage) return;
+  s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
+  transpose_into(weight_self_.value, s.weight_t);
+  gemm_rows(s.dpre_norm, s.weight_t, s.dself, rows);
+  for (NodeId r : rows) {
+    auto dst = grad_x.row(r);
+    const auto src = s.dself.row(r);
+    for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
   }
 }
 

@@ -120,6 +120,7 @@ struct LayerBackwardScratch {
   Matrix dpre_norm;  // LayerNorm adjoint staging
   Matrix dagg;       // grad wrt aggregated input
   Matrix dself;      // SAGE only: grad through W_self
+  Matrix weight_t;   // transposed weight of the input-gradient product
 };
 
 class GnnLayer {
@@ -172,9 +173,12 @@ class GnnLayer {
 
   /// Steady-state variant: identical arithmetic, but all per-call
   /// temporaries live in the caller-provided `scratch` (reshaped in place),
-  /// so repeated calls with stable shapes perform no heap allocation.
+  /// so repeated calls with stable shapes perform no heap allocation. A
+  /// null `grad_x` skips the input gradient — its product, the aggregation
+  /// adjoint and SAGE's self path — for a caller that never reads it (the
+  /// first layer); `sink` is the same either way.
   void backward(const DeviceGraph& dev, const Matrix& grad_out,
-                const LayerCache& cache, Matrix& grad_x, LayerGrads& sink,
+                const LayerCache& cache, Matrix* grad_x, LayerGrads& sink,
                 LayerBackwardScratch& scratch) const;
 
   /// Row-subset backward (the adjoint mirror of forward_rows): epilogue

@@ -92,10 +92,13 @@ void Matrix::scale_inplace(float alpha) {
 // Every element C[i][j] accumulates its k products in ascending-k order
 // regardless of tile, band and vector-lane boundaries, and axpy is unfused
 // mul-then-add on every ISA, so results are bit-identical for every thread
-// count and ISA (and to the previous unblocked ikj kernels). gemm_nt's
-// inner loop is a k-reduction per element; vectorizing it would reorder the
-// accumulation, so it stays scalar. Adequate for the matrix sizes in this
-// library without pulling in a BLAS dependency.
+// count and ISA (and to the previous unblocked ikj kernels). The vector
+// lanes run across output columns, never across k, so a product A * B^T is
+// gemm over a transposed copy of B: each element keeps the serial chain
+// acc += a[i][p] * b[j][p], p ascending from +0. The zero-skip drops only
+// +-0 products, which cannot change a sum that starts at +0 (finite inputs).
+// Adequate for the matrix sizes in this library without pulling in a BLAS
+// dependency.
 namespace {
 
 constexpr std::size_t kRowGrain = 8;    ///< min C rows per parallel band
@@ -217,62 +220,12 @@ void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   });
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
-  ADAQP_CHECK_MSG(a.cols() == b.cols(),
-                  "gemm_nt: shared dim " << a.cols() << " vs " << b.cols());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c.reshape_zero(m, n);
-  parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-      const std::size_t jhi = std::min(jj + kBlockN, n);
-      for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-        const std::size_t phi = std::min(pp + kBlockK, k);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float* arow = a.data() + i * k;
-          float* crow = c.data() + i * n;
-          for (std::size_t j = jj; j < jhi; ++j) {
-            const float* brow = b.data() + j * k;
-            float acc = crow[j];
-            for (std::size_t p = pp; p < phi; ++p) acc += arow[p] * brow[p];
-            crow[j] = acc;
-          }
-        }
-      }
-    }
-  });
-}
-
-void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::span<const std::uint32_t> rows) {
-  ADAQP_CHECK_MSG(a.cols() == b.cols(), "gemm_nt_rows: shared dim "
-                                            << a.cols() << " vs " << b.cols());
-  ADAQP_CHECK_MSG(c.rows() == a.rows() && c.cols() == b.rows(),
-                  "gemm_nt_rows: C must be pre-sized");
-  const std::size_t k = a.cols(), n = b.rows();
-  // Same (j, k) tiling and k-ascending per-element reduction as gemm_nt,
-  // applied to the selected rows only; bands over `rows` write disjoint C
-  // rows, so any thread count is bit-identical to serial.
-  parallel_for(rows.size(), kRowGrain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t idx = r0; idx < r1; ++idx) {
-      const std::size_t i = rows[idx];
-      ADAQP_CHECK(i < a.rows());
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
-      const float* arow = a.data() + i * k;
-      for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-        const std::size_t jhi = std::min(jj + kBlockN, n);
-        for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-          const std::size_t phi = std::min(pp + kBlockK, k);
-          for (std::size_t j = jj; j < jhi; ++j) {
-            const float* brow = b.data() + j * k;
-            float acc = crow[j];
-            for (std::size_t p = pp; p < phi; ++p) acc += arow[p] * brow[p];
-            crow[j] = acc;
-          }
-        }
-      }
-    }
-  });
+void transpose_into(const Matrix& a, Matrix& at) {
+  const std::size_t m = a.rows(), n = a.cols();
+  at.reshape_uninit(n, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      at.data()[j * m + i] = a.data()[i * n + j];
 }
 
 void relu_forward(const Matrix& in, Matrix& out) {

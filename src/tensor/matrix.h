@@ -1,11 +1,12 @@
 // Dense row-major float matrix — the tensor type for all GNN computation.
 //
 // The library deliberately avoids a general tensor/autograd framework: full-
-// graph GNN training touches a small, fixed set of kernels (GEMM in three
-// transposition variants, sparse-dense products, row-wise elementwise ops),
-// and each layer provides a hand-derived analytic backward pass that tests
-// validate against numerical gradients. Rows correspond to graph nodes and
-// columns to feature channels throughout the library.
+// graph GNN training touches a small, fixed set of kernels (GEMM, plain and
+// with a transposed left operand, sparse-dense products, row-wise
+// elementwise ops), and each layer provides a hand-derived analytic
+// backward pass that tests validate against numerical gradients. Rows
+// correspond to graph nodes and columns to feature channels throughout the
+// library.
 #pragma once
 
 #include <cstddef>
@@ -123,15 +124,10 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
 /// thread count (the property GnnLayer::backward_rows rests on).
 void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
                   std::span<const std::uint32_t> rows);
-/// C = A * B^T           (m x k) * (n x k)^T
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
-/// Row-subset product: C[r,:] = (A * B^T)[r,:] for each r in `rows`; other
-/// rows of C are untouched. C must be pre-sized to (A.rows x B.rows). Each
-/// computed row uses the same (j, k) tiling and k-ascending per-element
-/// reduction as gemm_nt, so it is bit-identical to the corresponding row of
-/// the full product.
-void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::span<const std::uint32_t> rows);
+/// At = A^T, reshaped in place to (A.cols x A.rows). With gemm / gemm_rows
+/// it forms A * B^T lane-parallel: every element is the k-ascending dot
+/// product of a row of A with a row of B, bit for bit (see matrix.cpp).
+void transpose_into(const Matrix& a, Matrix& at);
 
 // ---- Elementwise / rowwise kernels ----------------------------------------
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/rng.h"
 #include "dist/dist_graph.h"
@@ -247,6 +249,60 @@ INSTANTIATE_TEST_SUITE_P(
                       LayerCase{Aggregator::kGcn, true, false},
                       LayerCase{Aggregator::kSageMean, false, true},
                       LayerCase{Aggregator::kSum, false, true}));
+
+/// Bitwise float equality (tells +0 from -0); empty matches empty.
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  if (got.empty()) return;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// The first layer's backward: told to produce no input gradient (a null
+/// target), it writes parameter gradients bit-identical to the full
+/// backward's and leaves the input-gradient staging untouched — the
+/// product, the aggregation adjoint and SAGE's self path are skipped.
+TEST(BackwardNoInputGradient, ParameterGradientsMatchFullBackwardBitwise) {
+  for (const Aggregator agg : {Aggregator::kGcn, Aggregator::kSageMean}) {
+    for (const bool is_output : {false, true}) {
+      SCOPED_TRACE(std::string(agg == Aggregator::kGcn ? "gcn" : "sage") +
+                   (is_output ? "/out" : "/hidden"));
+      BackwardRowsFixture fx(agg, is_output);
+      const DeviceGraph& dev = fx.dist.devices[0];
+
+      Matrix grad_x;
+      LayerGrads full_sink;
+      LayerBackwardScratch full_scratch;
+      fx.layer.backward(dev, fx.grad_out, fx.cache, &grad_x, full_sink,
+                        full_scratch);
+      ASSERT_EQ(grad_x.rows(), dev.num_local());
+
+      LayerGrads sink;
+      LayerBackwardScratch scratch;
+      fx.layer.backward(dev, fx.grad_out, fx.cache, nullptr, sink, scratch);
+      expect_same_bits(sink.weight, full_sink.weight, "weight");
+      expect_same_bits(sink.weight_self, full_sink.weight_self, "weight_self");
+      expect_same_bits(sink.gamma, full_sink.gamma, "gamma");
+      expect_same_bits(sink.beta, full_sink.beta, "beta");
+      EXPECT_TRUE(scratch.weight_t.empty());
+      EXPECT_TRUE(scratch.dagg.empty());
+      EXPECT_TRUE(scratch.dself.empty());
+
+      // A scratch a full backward already filled keeps its input-gradient
+      // staging bit for bit.
+      const Matrix dagg = full_scratch.dagg;
+      const Matrix weight_t = full_scratch.weight_t;
+      fx.layer.backward(dev, fx.grad_out, fx.cache, nullptr, sink,
+                        full_scratch);
+      expect_same_bits(full_scratch.dagg, dagg, "dagg");
+      expect_same_bits(full_scratch.weight_t, weight_t, "weight_t");
+      expect_same_bits(sink.weight, full_sink.weight, "weight (reused)");
+    }
+  }
+}
 
 TEST(LayerNorm, ForwardNormalizesRows) {
   Rng rng(41);

@@ -127,16 +127,6 @@ TEST_P(GemmTest, TnMatchesTransposedNaive) {
   EXPECT_LT(max_abs_diff(c, naive_gemm(transpose(at), b)), 1e-4f);
 }
 
-TEST_P(GemmTest, NtMatchesTransposedNaive) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(m * 31 + k + n * 77);
-  Matrix a = random_matrix(m, k, rng);
-  Matrix bt = random_matrix(n, k, rng);  // B^T stored
-  Matrix c;
-  gemm_nt(a, bt, c);
-  EXPECT_LT(max_abs_diff(c, naive_gemm(a, transpose(bt))), 1e-4f);
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmTest,
                          ::testing::Values(GemmShape{1, 1, 1},
                                            GemmShape{3, 4, 5},

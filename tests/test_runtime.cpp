@@ -107,24 +107,20 @@ TEST_P(GemmDeterminism, AllVariantsBitExactAcrossThreadCounts) {
   const Matrix a = random_matrix(m, k, 11 * m + k);
   const Matrix b = random_matrix(k, n, 13 * k + n);
   const Matrix at = random_matrix(k, m, 17 * m + n);
-  const Matrix bt = random_matrix(n, k, 19 * k + m);
 
-  Matrix c1, c8, tn1, tn8, nt1, nt8;
+  Matrix c1, c8, tn1, tn8;
   {
     ThreadCountGuard guard(1);
     gemm(a, b, c1);
     gemm_tn(at, b, tn1);
-    gemm_nt(a, bt, nt1);
   }
   {
     ThreadCountGuard guard(8);
     gemm(a, b, c8);
     gemm_tn(at, b, tn8);
-    gemm_nt(a, bt, nt8);
   }
   EXPECT_EQ(max_abs_diff(c1, c8), 0.0f);
   EXPECT_EQ(max_abs_diff(tn1, tn8), 0.0f);
-  EXPECT_EQ(max_abs_diff(nt1, nt8), 0.0f);
 }
 
 // Ragged shapes straddle the kernels' block sizes (8/128/512) on purpose.

@@ -6,14 +6,19 @@
 //    decode produces bit-identical floats.
 //  - Round-trip property tests at every dispatched ISA; corrupt/truncated
 //    streams still throw under the vector unpack path.
-//  - GEMM kernels bit-identical across ISAs on ragged shapes.
+//  - GEMM kernels bit-identical across ISAs on ragged shapes; the backward
+//    input-gradient product pinned to a serial dot product; assigner row
+//    ranges bit-identical to an ordered min/max scan.
 //  - Full training runs (all five methods) bit-identical across ISAs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
+#include "assign/bit_assigner.h"
 #include "common/rng.h"
 #include "core/trainer.h"
 #include "data/datasets.h"
@@ -293,30 +298,26 @@ TEST(SimdGemm, AllVariantsBitIdenticalAcrossIsas) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.k, s.n, rng);
     const Matrix at = random_matrix(s.k, s.m, rng);
-    const Matrix bt = random_matrix(s.n, s.k, rng);
     std::vector<std::uint32_t> subset;
     for (std::size_t i = 0; i < s.m; i += 2)
       subset.push_back(static_cast<std::uint32_t>(i));
 
-    Matrix ref_nn, ref_tn, ref_nt, ref_rows(s.m, s.n);
+    Matrix ref_nn, ref_tn, ref_rows(s.m, s.n);
     {
       IsaGuard guard(Isa::kScalar);
       gemm(a, b, ref_nn);
       gemm_tn(at, b, ref_tn);
-      gemm_nt(a, bt, ref_nt);
       gemm_rows(a, b, ref_rows, subset);
     }
     for (Isa isa : vector_isas()) {
       IsaGuard guard(isa);
-      Matrix c_nn, c_tn, c_nt, c_rows(s.m, s.n);
+      Matrix c_nn, c_tn, c_rows(s.m, s.n);
       gemm(a, b, c_nn);
       gemm_tn(at, b, c_tn);
-      gemm_nt(a, bt, c_nt);
       gemm_rows(a, b, c_rows, subset);
       EXPECT_EQ(max_abs_diff(c_nn, ref_nn), 0.0f)
           << isa_name(isa) << " nn " << s.m << "x" << s.k << "x" << s.n;
       EXPECT_EQ(max_abs_diff(c_tn, ref_tn), 0.0f) << isa_name(isa) << " tn";
-      EXPECT_EQ(max_abs_diff(c_nt, ref_nt), 0.0f) << isa_name(isa) << " nt";
       EXPECT_EQ(max_abs_diff(c_rows, ref_rows), 0.0f)
           << isa_name(isa) << " rows";
     }
@@ -339,6 +340,107 @@ TEST(SimdGemm, AxpyKernelHandlesRaggedTails) {
       if (n > 0) axpy(a, b.data(), c.data(), n);
       for (std::size_t i = 0; i < n; ++i) ref[i] += a * b[i];
       EXPECT_EQ(c, ref) << isa_name(isa) << " n=" << n;
+    }
+  }
+}
+
+/// The backward input-gradient product dX = dY * W^T, as the layers form it
+/// (transpose_into, then gemm or gemm_rows), is the serial k-ascending dot
+/// product acc += dy[i][p] * w[j][p] from +0, bit for bit — gradients with
+/// exact +0 / -0 entries and whole zero rows included, on every ISA and at
+/// 1 and 8 threads. Shapes straddle the 8-row band, the 128-deep k tile and
+/// the 512-wide column tile.
+TEST(SimdGemm, InputGradientProductIsTheSerialDotProductBitForBit) {
+  const struct { std::size_t m, k, n; } shapes[] = {
+      {1, 1, 1}, {7, 13, 3}, {33, 130, 515}, {130, 257, 9}, {17, 64, 40}};
+  for (const auto& s : shapes) {
+    Rng rng(s.m * 1000 + s.k * 10 + s.n);
+    Matrix dy = random_matrix(s.m, s.k, rng);
+    const Matrix w = random_matrix(s.n, s.k, rng);  // in_dim x out_dim
+    for (std::size_t i = 0; i < dy.size(); i += 3)
+      dy.data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    for (std::size_t p = 0; p < s.k; ++p)
+      dy.at(s.m / 2, p) = p % 2 == 0 ? -0.0f : 0.0f;  // an all-zero row
+    std::vector<std::uint32_t> subset;
+    for (std::size_t i = 0; i < s.m; i += 2)
+      subset.push_back(static_cast<std::uint32_t>(i));
+
+    std::vector<std::uint32_t> ref(s.m * s.n);
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t j = 0; j < s.n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < s.k; ++p) acc += dy.at(i, p) * w.at(j, p);
+        ref[i * s.n + j] = std::bit_cast<std::uint32_t>(acc);
+      }
+
+    for (Isa isa : simd::supported_isas()) {
+      IsaGuard isa_guard(isa);
+      for (int threads : {1, 8}) {
+        const int prev = num_threads();
+        set_num_threads(threads);
+        Matrix wt, full, rows(s.m, s.n);
+        rows.fill(7.0f);
+        transpose_into(w, wt);
+        gemm(dy, wt, full);
+        gemm_rows(dy, wt, rows, subset);
+        set_num_threads(prev);
+        for (std::size_t i = 0; i < s.m; ++i)
+          for (std::size_t j = 0; j < s.n; ++j) {
+            const std::uint32_t want = ref[i * s.n + j];
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(full.at(i, j)), want)
+                << isa_name(isa) << " threads=" << threads << " " << s.m
+                << "x" << s.k << "x" << s.n << " at (" << i << ", " << j
+                << ")";
+            // gemm_rows writes the subset's rows only.
+            const std::uint32_t got = std::bit_cast<std::uint32_t>(rows.at(i, j));
+            if (i % 2 == 0)
+              ASSERT_EQ(got, want) << isa_name(isa) << " rows (" << i << ")";
+            else
+              ASSERT_EQ(rows.at(i, j), 7.0f);
+          }
+      }
+    }
+  }
+}
+
+// ---- Row ranges -------------------------------------------------------------
+
+/// row_ranges_of_into runs the dispatched row_minmax kernel; its ranges are
+/// bit-identical to the ordered std::min / std::max scan on every ISA,
+/// including rows that mix +0 and -0, rows of equal values and ragged
+/// widths around every vector width.
+TEST(SimdRowRanges, BitIdenticalToOrderedMinMaxOnEveryIsa) {
+  for (std::size_t cols : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul,
+                           17ul, 31ul, 32ul, 33ul, 65ul}) {
+    Rng rng(cols + 7);
+    Matrix m(8, cols);
+    m.fill_uniform(rng, -1.0f, 1.0f);
+    for (std::size_t c = 0; c < cols; ++c) {
+      m.at(0, c) = c % 2 == 0 ? 0.0f : -0.0f;        // signed zeros only
+      m.at(1, c) = c % 2 == 0 ? -0.0f : 0.0f;
+      m.at(2, c) = 0.25f;                            // equal values
+      m.at(3, c) = c % 3 == 0 ? -0.0f : 0.5f;        // -0 is the minimum
+      m.at(4, c) = c % 3 == 1 ? 0.0f : -0.5f;        // +0 is the maximum
+      if (c % 4 == 2) m.at(5, c) = c % 8 == 2 ? 0.0f : -0.0f;
+    }
+    std::vector<std::uint32_t> ref;
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      const auto row = m.row(r);
+      float lo = row[0], hi = row[0];
+      for (float v : row) {
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+      }
+      ref.push_back(std::bit_cast<std::uint32_t>(hi - lo));
+    }
+    for (Isa isa : simd::supported_isas()) {
+      IsaGuard guard(isa);
+      std::vector<float> ranges;
+      row_ranges_of_into(m, ranges);
+      ASSERT_EQ(ranges.size(), m.rows());
+      for (std::size_t r = 0; r < m.rows(); ++r)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ranges[r]), ref[r])
+            << isa_name(isa) << " cols=" << cols << " row " << r;
     }
   }
 }
